@@ -48,7 +48,7 @@ def main() -> None:
         row = f"{name:<20s}"
         for label, _ in GENERATORS:
             match = [r for r in reports[label].results if r.name == name]
-            if not match:
+            if not match or match[0].verdict == "error":
                 row += f"{'(error)':>20s}"
                 continue
             r = match[0]
@@ -57,8 +57,8 @@ def main() -> None:
         print(row)
     for label, _ in GENERATORS:
         rep = reports[label]
-        print(f"{label}: {rep.n_rejections} rejection(s), "
-              f"{len(rep.errors)} error(s)")
+        n_errors = sum(1 for r in rep.results if r.verdict == "error")
+        print(f"{label}: {rep.n_rejections} rejection(s), {n_errors} error(s)")
 
     print(f"\nSeed sweep, {args.seeds} seeds, default model "
           f"(1000 paths x 80 steps)\n")

@@ -18,7 +18,6 @@ import pathlib
 from rngaudit.cli import FIGURE_DESCRIPTOR
 from rngaudit.generators import make_generator
 from rngaudit.spectral import (
-    acceptance_threshold,
     plane_membership,
     point_cloud,
     spectral_accept,
@@ -33,10 +32,10 @@ def run_one(descriptor: str, out_dir: pathlib.Path, n_values: int) -> None:
     report = spectral_accept(gen.params, d_max=6)
     print(f"\n{descriptor}")
     print(f"{'d':>3s} {'accuracy':>14s} {'threshold':>12s}  verdict")
-    for d in report.dims:
-        ok = "pass" if report.passes(d) else "REJECT"
-        print(f"{d:>3d} {report.accuracies[d]:>14.2f} "
-              f"{acceptance_threshold(d):>12.2f}  {ok}")
+    for d, r in zip(report.dims, report.results):
+        ok = "pass" if r.verdict == "pass" else "REJECT"
+        print(f"{d:>3d} {r.statistic:>14.2f} "
+              f"{r.detail['threshold']:>12.2f}  {ok}")
     print(f"overall: {report.verdict}")
 
     sample = gen.sample(min(gen.params.modulus, n_values))

@@ -1,6 +1,6 @@
 """Quality audits for pseudorandom number generators.
 
-Configurable generator families (LCG, combined LCG, Mersenne Twister),
+Configurable generator families (LCG, Wichmann-Hill, Mersenne Twister),
 a four-family statistical test battery, an exact lattice accuracy test
 for LCGs, and a seed-sensitivity harness around a small Monte Carlo
 valuation model, all behind one command line tool.
@@ -12,12 +12,9 @@ from .generators import (
     FactorizationError,
     LcgParams,
     Lcg,
-    CombinedLcg,
     WichmannHill,
     MT19937,
     Sample,
-    lcg_next,
-    combined_lcg_next,
     full_period_predicate,
     brute_force_period,
     make_generator,
@@ -39,12 +36,9 @@ __all__ = [
     "FactorizationError",
     "LcgParams",
     "Lcg",
-    "CombinedLcg",
     "WichmannHill",
     "MT19937",
     "Sample",
-    "lcg_next",
-    "combined_lcg_next",
     "full_period_predicate",
     "brute_force_period",
     "make_generator",

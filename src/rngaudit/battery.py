@@ -27,6 +27,7 @@ from .stats import (
     chi_square_gof,
     ks_test_uniform,
     levene_test,
+    _values,
     poisson_pmf,
     t_test_mean,
     variance_test,
@@ -107,41 +108,19 @@ class BatteryConfig:
 
 @dataclass
 class BatteryReport:
-    """Everything one battery run produced."""
+    """Everything one battery run produced.
+
+    ``results`` holds one record per test in run order, followed by one
+    ``"error"`` record for each family that could not run.
+    """
 
     results: list[TestResult]
-    errors: list[dict]
     provenance: str
     config: BatteryConfig
     n_rejections: int = field(init=False)
 
     def __post_init__(self):
         self.n_rejections = sum(1 for r in self.results if r.verdict == "reject")
-
-    def to_dict(self) -> dict:
-        entries = [r.to_dict() for r in self.results]
-        entries.extend(
-            {
-                "name": e["test"],
-                "statistic": None,
-                "p_value": None,
-                "alpha": None,
-                "verdict": "error",
-                "detail": {"error": e["error"]},
-            }
-            for e in self.errors
-        )
-        return {
-            "provenance": self.provenance,
-            "config": self.config.to_dict(),
-            "results": entries,
-            "n_rejections": self.n_rejections,
-            "n_errors": len(self.errors),
-        }
-
-
-def _values(sample) -> np.ndarray:
-    return np.asarray(getattr(sample, "values", sample), dtype=np.float64)
 
 
 def _tuples(values: np.ndarray, k: int, mode: str) -> np.ndarray:
@@ -458,17 +437,16 @@ def run_battery(sample, config: BatteryConfig | None = None) -> BatteryReport:
         if planned:
             alpha = config.alpha / planned
     results: list[TestResult] = []
-    errors: list[dict] = []
+    errors: list[TestResult] = []
     for name in config.tests:
         runner = TEST_REGISTRY.get(name)
-        if runner is None:
-            errors.append({"test": name, "error": f"unknown test {name!r}"})
-            continue
         try:
+            if runner is None:
+                raise ValueError(f"unknown test {name!r}")
             out = runner(sample, config, alpha)
         except Exception as exc:
-            errors.append({"test": name, "error": str(exc)})
+            errors.append(TestResult(name, None, None, None, {"error": str(exc)}, "error"))
             continue
         results.extend(out if isinstance(out, list) else [out])
     provenance = getattr(sample, "provenance", "external")
-    return BatteryReport(results, errors, provenance, config)
+    return BatteryReport(results + errors, provenance, config)

@@ -8,8 +8,9 @@ full-period property, and ``figures`` exports the point-cloud artifacts.
 Every command can emit a machine-readable JSON report (``--json``)
 carrying a manifest (tool version, argv echo, config, timestamp) next to
 the results, so a report is reproducible from its own manifest:
-re-running the recorded argv rebuilds the payload bit for bit (the
-timestamp is the only field outside that guarantee).
+re-running the recorded argv on the same numpy build rebuilds the
+payload bit for bit (the timestamp is the only field outside that
+guarantee).
 
 Exit codes form a stable contract for CI gates:
 
@@ -43,15 +44,13 @@ from .generators import (
 )
 from .seedlab import ToyModelConfig, seed_sweep
 from .spectral import (
-    ACCEPT_DIMS,
     MAX_DIM,
-    acceptance_threshold,
-    acceptance_threshold_sq,
     export_cloud_csv,
     export_cloud_svg,
     point_cloud,
     spectral_accept,
 )
+from .stats import VERDICTS, TestResult
 
 __all__ = [
     "REPORT_SCHEMA_ID",
@@ -114,7 +113,7 @@ REPORT_SCHEMA = {
                     "statistic": {"type": ["number", "null"]},
                     "p_value": {"type": ["number", "null"]},
                     "alpha": {"type": ["number", "null"]},
-                    "verdict": {"enum": ["pass", "reject", "error", "info"]},
+                    "verdict": {"enum": list(VERDICTS)},
                     "detail": {"type": "object"},
                 },
             },
@@ -131,7 +130,11 @@ EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_DESCRIPTOR_PREFIXES = ("lcg:", "wh:", "mt:", "combined:")
+# The one map from a report's summary verdict to the process exit code.
+_EXIT_CODES = {"pass": EXIT_PASS, "accept": EXIT_PASS, "reject": EXIT_REJECT,
+               "error": EXIT_USAGE}
+
+_DESCRIPTOR_PREFIXES = ("lcg:", "wh:", "mt:")
 
 
 def _jsonable(obj):
@@ -179,21 +182,10 @@ def _build_report(command, argv, descriptor, config, results, summary) -> dict:
                 "descriptor": descriptor,
                 "config": config,
             },
-            "results": results,
+            "results": [r.to_dict() for r in results],
             "summary": summary,
         }
     )
-
-
-def _result(name, statistic, p_value, alpha, verdict, detail) -> dict:
-    return {
-        "name": name,
-        "statistic": statistic,
-        "p_value": p_value,
-        "alpha": alpha,
-        "verdict": verdict,
-        "detail": detail,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # command implementations
 #
-# Each _run_* is pure: it returns (report-without-timestamp, file jobs,
-# exit code) and writes nothing, so reports can be rebuilt from their
-# manifest without touching the filesystem.  File jobs are (path, write)
-# callables executed by main() after the report exists.
+# Each _run_* is pure: it returns (descriptor, config, records, summary,
+# file jobs, extra) and writes nothing, so reports can be rebuilt from
+# their manifest without touching the filesystem.  _run turns that into
+# the report, its summary verdict and the exit code.  File jobs are
+# (path, write) callables executed by main() after the report exists;
+# extra is what the human-readable summary prints from.
 
 
 def _lcg_params(descriptor: str):
@@ -313,24 +307,18 @@ def _lcg_params(descriptor: str):
     return gen.params
 
 
-def _run_generate(args, argv):
+def _run_generate(args):
     if args.count < 1:
         raise ValueError("count must be >= 1")
     gen = make_generator(args.descriptor)
     smp = gen.sample(args.count)
     target = args.output if args.output else "stdout"
-    results = [
-        _result("generate", float(args.count), None, None, "pass",
-                {"output": target, "count": args.count})
-    ]
-    summary = {"verdict": "pass", "count": args.count, "output": target}
-    report = _build_report("generate", argv, gen.descriptor,
-                           {"count": args.count, "output": target},
-                           results, summary)
+    config = {"count": args.count, "output": target}
+    records = [TestResult("generate", float(args.count), None, None, config, "pass")]
     files = []
     if args.output:
         files.append((args.output, lambda path, s=smp: save_sample(s, path)))
-    return report, files, EXIT_PASS, smp
+    return gen.descriptor, config, records, config, files, smp
 
 
 def _battery_config(args) -> BatteryConfig:
@@ -357,7 +345,7 @@ def _battery_config(args) -> BatteryConfig:
     return BatteryConfig(**kwargs)
 
 
-def _run_test(args, argv):
+def _run_test(args):
     src = args.source
     if src.startswith(_DESCRIPTOR_PREFIXES):
         gen = make_generator(src)
@@ -370,63 +358,25 @@ def _run_test(args, argv):
             if sample.provenance.startswith(_DESCRIPTOR_PREFIXES)
             else None
         )
-    config = _battery_config(args)
-    battery = run_battery(sample, config)
-    payload = battery.to_dict()
-    if battery.n_rejections > 0:
-        verdict, code = "reject", EXIT_REJECT
-    elif battery.errors:
-        verdict, code = "error", EXIT_USAGE
-    else:
-        verdict, code = "pass", EXIT_PASS
+    battery = run_battery(sample, _battery_config(args))
     summary = {
-        "verdict": verdict,
-        "n_results": len(payload["results"]),
+        "n_results": len(battery.results),
         "n_rejections": battery.n_rejections,
-        "n_errors": len(battery.errors),
+        "n_errors": sum(1 for r in battery.results if r.verdict == "error"),
         "sample_size": len(sample.values),
         "source": src,
     }
-    report = _build_report("test", argv, descriptor, payload["config"],
-                           payload["results"], summary)
-    return report, [], code, battery
+    return descriptor, battery.config.to_dict(), battery.results, summary, [], battery
 
 
-def _run_spectral(args, argv):
+def _run_spectral(args):
     params = _lcg_params(args.descriptor)
     spectral = spectral_accept(params, d_max=args.dmax)
-    results = []
-    for d in spectral.dims:
-        ruled = d in ACCEPT_DIMS
-        if ruled:
-            ok = spectral.accuracy_sq[d] >= acceptance_threshold_sq(d)
-            verdict = "pass" if ok else "reject"
-        else:
-            verdict = "info"
-        results.append(
-            _result(
-                f"spectral-d{d}",
-                spectral.accuracies[d],
-                None,
-                None,
-                verdict,
-                {
-                    "accuracy_sq": spectral.accuracy_sq[d],
-                    "threshold": acceptance_threshold(d) if ruled else None,
-                    "threshold_sq": acceptance_threshold_sq(d) if ruled else None,
-                    "shortest_vector": list(spectral.shortest_vectors[d]),
-                },
-            )
-        )
     summary = {
-        "verdict": spectral.verdict,
         "modulus": spectral.modulus,
         "multiplier": spectral.multiplier,
         "dims": list(spectral.dims),
     }
-    report = _build_report("spectral", argv, args.descriptor,
-                           {"dmax": args.dmax, "cloud": args.cloud},
-                           results, summary)
     files = []
     if args.cloud:
         n_values = min(params.modulus, 1 << 18)
@@ -436,8 +386,8 @@ def _run_spectral(args, argv):
         if args.cloud == 2:
             svg_path = f"{args.cloud_out}-d2.svg"
             files.append((svg_path, lambda p, c=cloud: export_cloud_svg(c, p)))
-    code = EXIT_PASS if spectral.verdict == "accept" else EXIT_REJECT
-    return report, files, code, spectral
+    config = {"dmax": args.dmax, "cloud": args.cloud}
+    return args.descriptor, config, spectral.results, summary, files, spectral
 
 
 def _toy_config(args) -> ToyModelConfig:
@@ -452,28 +402,24 @@ def _toy_config(args) -> ToyModelConfig:
     )
 
 
-def _run_sweep(args, argv):
+def _run_sweep(args):
     seeds = _parse_seeds(args.seeds)
     config = _toy_config(args)
     sweep = seed_sweep(args.descriptor, seeds, config)
     verdict = "reject" if sweep.seed_effect_flag else "pass"
-    results = [
-        _result("seed-effect", sweep.max_abs_relative_delta, None, None,
-                verdict, sweep.to_dict())
+    records = [
+        TestResult("seed-effect", sweep.max_abs_relative_delta, None, None,
+                   sweep.to_dict(), verdict)
     ]
     summary = {
-        "verdict": verdict,
         "max_abs_relative_delta": sweep.max_abs_relative_delta,
         "max_pair": list(sweep.max_pair),
         "n_seeds": len(seeds),
     }
-    report = _build_report("sweep", argv, args.descriptor, config.to_dict(),
-                           results, summary)
-    code = EXIT_REJECT if sweep.seed_effect_flag else EXIT_PASS
-    return report, [], code, sweep
+    return args.descriptor, config.to_dict(), records, summary, [], sweep
 
 
-def _run_period(args, argv):
+def _run_period(args):
     gen = make_generator(args.descriptor)
     if not isinstance(gen, Lcg):
         raise ValueError("period check requires an lcg: descriptor")
@@ -493,12 +439,7 @@ def _run_period(args, argv):
         full = brute == params.modulus
     else:
         full = None
-    if full is True:
-        verdict, code = "pass", EXIT_PASS
-    elif full is False:
-        verdict, code = "reject", EXIT_REJECT
-    else:
-        verdict, code = "error", EXIT_USAGE
+    verdict = {True: "pass", False: "reject", None: "error"}[full]
     detail = {
         "modulus": params.modulus,
         "predicate": predicate,
@@ -507,19 +448,16 @@ def _run_period(args, argv):
         "brute_cap": args.brute_cap,
         "factor_bound": args.factor_bound,
     }
-    results = [
-        _result("full-period", float(brute) if brute is not None else None,
-                None, None, verdict, detail)
+    records = [
+        TestResult("full-period", float(brute) if brute is not None else None,
+                   None, None, detail, verdict)
     ]
-    summary = {"verdict": verdict, "full_period": full, "modulus": params.modulus}
-    report = _build_report(
-        "period", argv, args.descriptor,
-        {"factor_bound": args.factor_bound, "brute_cap": args.brute_cap},
-        results, summary)
-    return report, [], code, full
+    summary = {"full_period": full, "modulus": params.modulus}
+    config = {"factor_bound": args.factor_bound, "brute_cap": args.brute_cap}
+    return args.descriptor, config, records, summary, [], full
 
 
-def _run_figures(args, argv):
+def _run_figures(args):
     gen = make_generator(args.descriptor)
     if isinstance(gen, Lcg):
         n_values = min(gen.params.modulus, 1 << 18)
@@ -536,17 +474,14 @@ def _run_figures(args, argv):
         (f"{out}/triples.csv", lambda p, c=triples: export_cloud_csv(c, p),
          len(triples)),
     ]
-    results = [
-        _result(path.rsplit("/", 1)[-1], float(rows), None, None, "pass",
-                {"path": path, "rows": rows})
+    records = [
+        TestResult(path.rsplit("/", 1)[-1], float(rows), None, None,
+                   {"path": path, "rows": rows}, "pass")
         for path, _, rows in jobs
     ]
-    summary = {"verdict": "pass", "n_values": n_values,
-               "files": [path for path, _, _ in jobs]}
-    report = _build_report("figures", argv, gen.descriptor,
-                           {"out_dir": out, "n_values": n_values},
-                           results, summary)
-    return report, [(path, fn) for path, fn, _ in jobs], EXIT_PASS, None
+    summary = {"n_values": n_values, "files": [path for path, _, _ in jobs]}
+    config = {"out_dir": out, "n_values": n_values}
+    return gen.descriptor, config, records, summary, [(p, fn) for p, fn, _ in jobs], None
 
 
 _RUNNERS = {
@@ -559,10 +494,29 @@ _RUNNERS = {
 }
 
 
+def _summary_verdict(command, records) -> str:
+    """The report's verdict: reject if any record rejects, else error if
+    any record errs, else pass -- which the spectral test spells accept."""
+    verdicts = {r.verdict for r in records}
+    if "reject" in verdicts:
+        return "reject"
+    if "error" in verdicts:
+        return "error"
+    return "accept" if command == "spectral" else "pass"
+
+
+def _run(args, argv) -> tuple[dict, list, int, object]:
+    """Execute a parsed command: its report, file jobs, exit code and extra."""
+    descriptor, config, records, summary, files, extra = _RUNNERS[args.command](args)
+    verdict = _summary_verdict(args.command, records)
+    report = _build_report(args.command, argv, descriptor, config, records,
+                           {"verdict": verdict, **summary})
+    return report, files, _EXIT_CODES[verdict], extra
+
+
 def run_command(argv) -> tuple[dict, list, int, object]:
     """Parse argv and execute its command without writing any file."""
-    args = build_parser().parse_args(argv)
-    return _RUNNERS[args.command](args, argv)
+    return _run(build_parser().parse_args(argv), argv)
 
 
 def rerun_from_manifest(manifest: dict) -> dict:
@@ -621,7 +575,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, files, code, extra = _RUNNERS[args.command](args, argv)
+        report, files, code, extra = _run(args, argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

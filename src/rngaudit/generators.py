@@ -34,12 +34,9 @@ __all__ = [
     "LcgParams",
     "UniformGenerator",
     "Lcg",
-    "CombinedLcg",
     "WichmannHill",
     "MT19937",
     "Sample",
-    "lcg_next",
-    "combined_lcg_next",
     "full_period_predicate",
     "brute_force_period",
     "make_generator",
@@ -97,14 +94,6 @@ class LcgParams:
         return LcgParams(self.modulus, self.multiplier, self.increment, seed)
 
 
-def lcg_next(state: int, params: LcgParams) -> tuple[int, float]:
-    """Advance one step; the uniform is the new state divided by the modulus."""
-    if not 0 <= state < params.modulus:
-        raise ValueError("state out of range for modulus")
-    new = (params.multiplier * state + params.increment) % params.modulus
-    return new, new / params.modulus
-
-
 class UniformGenerator:
     """Base class for a deterministic stream of uniforms in [0, 1)."""
 
@@ -157,77 +146,43 @@ class Lcg(UniformGenerator):
 
 
 # ---------------------------------------------------------------------------
-# combined (Wichmann-Hill style) generators
+# the Wichmann-Hill combined generator
 
 # Constants of algorithm AS 183 (Wichmann & Hill 1982, Applied Statistics 31).
 WH_AS183_MODULI = (30269, 30307, 30323)
 WH_AS183_MULTIPLIERS = (171, 172, 170)
 
 
-def combined_lcg_next(
-    states: tuple[int, ...],
-    moduli: tuple[int, ...] = WH_AS183_MODULI,
-    multipliers: tuple[int, ...] = WH_AS183_MULTIPLIERS,
-) -> tuple[tuple[int, ...], float]:
-    """Advance each zero-increment component and combine fractionally.
+class WichmannHill(UniformGenerator):
+    """The AS 183 three-stream combined generator.
 
-    Every component steps as ``s' = (a * s) % m``; the output is the
-    fractional part of the sum of the component uniforms ``s'/m``.
+    Every zero-increment component steps as ``s' = (a * s) % m``; the
+    output is the fractional part of the sum of the component uniforms
+    ``s'/m``, added in component order.
     """
-    if not (len(states) == len(moduli) == len(multipliers)):
-        raise ValueError("component count mismatch")
-    new = tuple((a * s) % m for s, a, m in zip(states, multipliers, moduli))
-    u = sum(s / m for s, m in zip(new, moduli)) % 1.0
-    return new, u
 
-
-class CombinedLcg(UniformGenerator):
-    """Sum of several zero-increment LCG outputs, taken modulo one."""
-
-    def __init__(self, moduli, multipliers, seeds):
-        moduli = tuple(int(m) for m in moduli)
-        multipliers = tuple(int(a) for a in multipliers)
-        seeds = tuple(int(s) for s in seeds)
-        if not (len(moduli) == len(multipliers) == len(seeds)) or len(moduli) < 2:
-            raise ValueError("need matching moduli/multipliers/seeds, at least two")
-        for m, a, s in zip(moduli, multipliers, seeds):
-            if m < 2:
-                raise ValueError("component modulus must be >= 2")
-            if not 0 < a < m:
-                raise ValueError("component multiplier must satisfy 0 < a < m")
+    def __init__(self, seed1: int = 1, seed2: int = 1, seed3: int = 1):
+        seeds = (int(seed1), int(seed2), int(seed3))
+        for m, s in zip(WH_AS183_MODULI, seeds):
             # zero is absorbing for a zero-increment component
             if not 0 < s < m:
                 raise ValueError("component seed must satisfy 0 < seed < m")
-        self.moduli = moduli
-        self.multipliers = multipliers
         self.states = seeds
         self._seeds = seeds
 
     @property
     def descriptor(self) -> str:
-        parts = [
-            f"m{i + 1}={m},a{i + 1}={a},seed{i + 1}={s}"
-            for i, (m, a, s) in enumerate(
-                zip(self.moduli, self.multipliers, self._seeds)
-            )
-        ]
-        return "combined:" + ",".join(parts)
-
-    def next_uniform(self) -> float:
-        self.states, u = combined_lcg_next(self.states, self.moduli, self.multipliers)
-        return u
-
-
-class WichmannHill(CombinedLcg):
-    """The AS 183 three-stream combined generator."""
-
-    def __init__(self, seed1: int = 1, seed2: int = 1, seed3: int = 1):
-        super().__init__(WH_AS183_MODULI, WH_AS183_MULTIPLIERS, (seed1, seed2, seed3))
-
-    @property
-    def descriptor(self) -> str:
         s1, s2, s3 = self._seeds
         return f"wh:seed1={s1},seed2={s2},seed3={s3}"
+
+    def next_uniform(self) -> float:
+        # the AS 183 constants, inlined: this runs once per scalar draw
+        s1, s2, s3 = self.states
+        s1 = (171 * s1) % 30269
+        s2 = (172 * s2) % 30307
+        s3 = (170 * s3) % 30323
+        self.states = (s1, s2, s3)
+        return (s1 / 30269 + s2 / 30307 + s3 / 30323) % 1.0
 
 
 # ---------------------------------------------------------------------------

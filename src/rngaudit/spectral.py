@@ -21,12 +21,13 @@ evaluated in squared form, where both sides are exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .generators import LcgParams
+from .generators import LcgParams, _atomic_write_text
+from .stats import TestResult, _values
 
 __all__ = [
     "dual_lattice_basis",
@@ -209,11 +210,7 @@ def spectral_accuracy_sq(params: LcgParams, d: int) -> tuple[int, list[int]]:
     Independent of the increment and the seed: only modulus and
     multiplier enter the lattice.
     """
-    basis = dual_lattice_basis(params, d)
-    if d == 2:
-        vec = _lagrange_shortest(basis[0], basis[1])
-    else:
-        vec = _enumerate_shortest(_lll_reduce(basis))
+    vec, _ = shortest_vector(dual_lattice_basis(params, d))
     return _norm_sq(vec), vec
 
 
@@ -240,9 +237,29 @@ def acceptance_threshold_sq(d: int) -> int:
     return 2 ** (60 // d)
 
 
+def _dimension_record(d: int, accuracy_sq: int, vector) -> TestResult:
+    """The record of one dimension: nu_d, judged by the rule where it applies."""
+    ruled = d in ACCEPT_DIMS
+    if ruled:
+        verdict = "pass" if accuracy_sq >= acceptance_threshold_sq(d) else "reject"
+    else:
+        verdict = "info"
+    detail = {
+        "accuracy_sq": accuracy_sq,
+        "threshold": acceptance_threshold(d) if ruled else None,
+        "threshold_sq": acceptance_threshold_sq(d) if ruled else None,
+        "shortest_vector": list(vector),
+    }
+    return TestResult(f"spectral-d{d}", math.sqrt(accuracy_sq), None, None, detail, verdict)
+
+
 @dataclass
 class SpectralReport:
-    """Per-dimension accuracies of one multiplier/modulus pair."""
+    """Per-dimension accuracies of one multiplier/modulus pair.
+
+    ``results`` holds one ``spectral-d{d}`` record per dimension; the
+    verdict is "reject" when any of them rejects, else "accept".
+    """
 
     descriptor: str
     modulus: int
@@ -250,41 +267,20 @@ class SpectralReport:
     dims: tuple[int, ...]
     accuracy_sq: dict[int, int]
     shortest_vectors: dict[int, tuple[int, ...]]
-    verdict: str
+    results: list[TestResult] = field(init=False)
+    verdict: str = field(init=False)
+
+    def __post_init__(self):
+        self.results = [
+            _dimension_record(d, self.accuracy_sq[d], self.shortest_vectors[d])
+            for d in self.dims
+        ]
+        rejected = any(r.verdict == "reject" for r in self.results)
+        self.verdict = "reject" if rejected else "accept"
 
     @property
     def accuracies(self) -> dict[int, float]:
         return {d: math.sqrt(sq) for d, sq in self.accuracy_sq.items()}
-
-    def passes(self, d: int) -> bool | None:
-        """Exact threshold comparison for one dimension (None beyond the rule)."""
-        if d not in ACCEPT_DIMS:
-            return None
-        return self.accuracy_sq[d] >= acceptance_threshold_sq(d)
-
-    def to_dict(self) -> dict:
-        dims = list(self.dims)
-        return {
-            "descriptor": self.descriptor,
-            "modulus": self.modulus,
-            "multiplier": self.multiplier,
-            "dims": dims,
-            "accuracy": {str(d): math.sqrt(self.accuracy_sq[d]) for d in dims},
-            "accuracy_sq": {str(d): int(self.accuracy_sq[d]) for d in dims},
-            "shortest_vector": {
-                str(d): list(self.shortest_vectors[d]) for d in dims
-            },
-            "threshold": {
-                str(d): acceptance_threshold(d) for d in dims if d in ACCEPT_DIMS
-            },
-            "threshold_sq": {
-                str(d): acceptance_threshold_sq(d) for d in dims if d in ACCEPT_DIMS
-            },
-            "per_dim_pass": {
-                str(d): self.passes(d) for d in dims if d in ACCEPT_DIMS
-            },
-            "verdict": self.verdict,
-        }
 
 
 def spectral_accept(params: LcgParams, d_max: int = 6) -> SpectralReport:
@@ -303,8 +299,6 @@ def spectral_accept(params: LcgParams, d_max: int = 6) -> SpectralReport:
         sq, vec = spectral_accuracy_sq(params, d)
         acc_sq[d] = sq
         vecs[d] = tuple(vec)
-    ruled = [d for d in dims if d in ACCEPT_DIMS]
-    ok = all(acc_sq[d] >= acceptance_threshold_sq(d) for d in ruled)
     return SpectralReport(
         descriptor=f"lcg:m={params.modulus},a={params.multiplier}",
         modulus=params.modulus,
@@ -312,7 +306,6 @@ def spectral_accept(params: LcgParams, d_max: int = 6) -> SpectralReport:
         dims=dims,
         accuracy_sq=acc_sq,
         shortest_vectors=vecs,
-        verdict="accept" if ok else "reject",
     )
 
 
@@ -346,7 +339,7 @@ def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> PointCloud:
     """
     if d not in (2, 3):
         raise ValueError("point clouds support dimensions 2 and 3")
-    values = np.asarray(getattr(sample, "values", sample), dtype=np.float64)
+    values = _values(sample)
     if values.size < d:
         raise ValueError("sample shorter than the tuple dimension")
     pts = np.lib.stride_tricks.sliding_window_view(values, d)
@@ -385,8 +378,6 @@ def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dic
 
 def export_cloud_csv(cloud: PointCloud, path) -> int:
     """Write the cloud as CSV with header x1,x2[,x3]; returns the row count."""
-    from .generators import _atomic_write_text
-
     header = ",".join(f"x{i + 1}" for i in range(cloud.dimension))
     lines = [header]
     lines.extend(",".join(repr(float(v)) for v in row) for row in cloud.points)
@@ -405,8 +396,6 @@ def export_cloud_svg(cloud: PointCloud, path, max_points: int = 32768) -> int:
     """
     if cloud.dimension != 2:
         raise ValueError("SVG export is 2-D only")
-    from .generators import _atomic_write_text
-
     pts = cloud.points
     if pts.shape[0] > max_points:
         stride = -(-pts.shape[0] // max_points)

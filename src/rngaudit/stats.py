@@ -313,30 +313,47 @@ def poisson_pmf(y: int, lam: float) -> float:
 # ---------------------------------------------------------------------------
 # result containers
 
+VERDICTS = ("pass", "reject", "error", "info")
+
+
 @dataclass
 class TestResult:
-    """Outcome of one statistical test."""
+    """Outcome of one check: the result record every report carries.
+
+    With a p-value the verdict is ``"reject"`` exactly when
+    ``p_value < alpha``.  Without one (an exact rule, an error, or a
+    figure reported for information) the verdict is given explicitly.
+    """
 
     name: str
-    statistic: float
-    p_value: float
-    alpha: float = DEFAULT_ALPHA
+    statistic: float | None
+    p_value: float | None
+    alpha: float | None = DEFAULT_ALPHA
     detail: dict = field(default_factory=dict)
-    verdict: str = field(init=False)
+    verdict: str | None = None
 
     def __post_init__(self):
+        if self.p_value is None:
+            if self.verdict not in VERDICTS:
+                raise ValueError(f"verdict must be one of {VERDICTS}")
+            return
+        if self.verdict is not None:
+            raise ValueError("a verdict follows from p_value and alpha")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError("p-value must lie in [0, 1]")
-        if not 0.0 < self.alpha < 1.0:
+        if self.alpha is None or not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         self.verdict = "reject" if self.p_value < self.alpha else "pass"
 
     def to_dict(self) -> dict:
+        def number(x):
+            return None if x is None else float(x)
+
         return {
             "name": self.name,
-            "statistic": float(self.statistic),
-            "p_value": float(self.p_value),
-            "alpha": float(self.alpha),
+            "statistic": number(self.statistic),
+            "p_value": number(self.p_value),
+            "alpha": number(self.alpha),
             "verdict": self.verdict,
             "detail": dict(self.detail),
         }

@@ -356,7 +356,7 @@ class TestRunBattery:
             "t-mean", "variance", "levene", "ks", "chi2-uniform",
             "anderson-darling", "permutation", "serial", "birthday-spacings",
         ]
-        assert rep.errors == []
+        assert all(r.verdict != "error" for r in rep.results)
         assert rep.n_rejections == 0
         assert rep.provenance == "mt:seed=1"
         # Not captured output: each value is the mpmath (or scipy) p-value
@@ -391,15 +391,17 @@ class TestRunBattery:
     def test_family_error_is_captured_without_aborting(self):
         s = make_generator("mt:seed=5").sample(5_000)  # 9 blocks of 512
         rep = run_battery(s)
-        assert len(rep.results) == 8
-        assert len(rep.errors) == 1
-        assert rep.errors[0]["test"] == "birthday"
-        assert "at least 20" in rep.errors[0]["error"]
+        assert len(rep.results) == 9
+        assert [r.verdict == "error" for r in rep.results] == [False] * 8 + [True]
+        err = rep.results[-1]
+        assert err.name == "birthday"
+        assert "at least 20" in err.detail["error"]
 
     def test_unknown_family_becomes_error_entry(self, mt_small):
-        rep = run_battery(mt_small, BatteryConfig(tests=("serial", "bogus")))
-        assert len(rep.results) == 1
-        assert rep.errors == [{"test": "bogus", "error": "unknown test 'bogus'"}]
+        rep = run_battery(mt_small, BatteryConfig(tests=("bogus", "serial")))
+        assert [r.name for r in rep.results] == ["serial", "bogus"]
+        assert rep.results[1].verdict == "error"
+        assert rep.results[1].detail == {"error": "unknown test 'bogus'"}
 
     def test_plain_array_input_marked_external(self):
         rep = run_battery(np.linspace(0.0, 0.999, 50_000))
@@ -411,19 +413,17 @@ class TestRunBattery:
     def test_report_to_dict_serializes(self, mt_small):
         cfg = BatteryConfig(tests=("serial", "bogus"))
         rep = run_battery(mt_small, cfg)
-        d = json.loads(json.dumps(rep.to_dict()))
-        assert d["n_rejections"] == rep.n_rejections
-        assert d["n_errors"] == 1
-        err = d["results"][-1]
-        assert err["name"] == "bogus"
-        assert err["verdict"] == "error"
-        assert err["statistic"] is None and err["p_value"] is None
-        assert d["config"]["tests"] == ["serial", "bogus"]
+        d = json.loads(json.dumps([r.to_dict() for r in rep.results]))
+        assert [r["verdict"] for r in d] == [rep.results[0].verdict, "error"]
+        assert d[-1] == {
+            "name": "bogus", "statistic": None, "p_value": None, "alpha": None,
+            "verdict": "error", "detail": {"error": "unknown test 'bogus'"},
+        }
+        assert rep.config is cfg
 
     def test_report_counts_rejections(self):
         rep = BatteryReport(
             results=run_battery(np.linspace(0.0, 0.999, 50_000)).results,
-            errors=[],
             provenance="x",
             config=BatteryConfig(),
         )

@@ -9,18 +9,16 @@ from rngaudit import (
     FactorizationError,
     LcgParams,
     Lcg,
-    CombinedLcg,
     WichmannHill,
     MT19937,
     Sample,
-    lcg_next,
-    combined_lcg_next,
     full_period_predicate,
     brute_force_period,
     make_generator,
     save_sample,
     load_sample,
 )
+from rngaudit.generators import WH_AS183_MODULI, WH_AS183_MULTIPLIERS
 from oracles import ScalarMT, lcg_sequence
 
 
@@ -65,12 +63,11 @@ class TestLcgParams:
 
 class TestLcgNext:
     def test_ten_state_generator_cycles_through_four_values(self):
-        p = LcgParams(10, 7, 7, 7)
-        state = p.seed
+        gen = Lcg(LcgParams(10, 7, 7, 7))
         seen = []
         for _ in range(8):
-            state, u = lcg_next(state, p)
-            seen.append((state, u))
+            u = gen.next_uniform()
+            seen.append((gen.state, u))
         assert [s for s, _ in seen] == [6, 9, 0, 7, 6, 9, 0, 7]
         assert [u for _, u in seen] == [0.6, 0.9, 0.0, 0.7, 0.6, 0.9, 0.0, 0.7]
 
@@ -81,18 +78,18 @@ class TestLcgNext:
         y=st.integers(0, 10**9),
     )
     def test_state_stays_in_range(self, m, a, c, y):
-        p = LcgParams(m, a % m or 1, c % m, y % m)
-        state, u = lcg_next(p.seed, p)
-        assert 0 <= state < m
+        gen = Lcg(LcgParams(m, a % m or 1, c % m, y % m))
+        u = gen.next_uniform()
+        assert 0 <= gen.state < m
         assert 0.0 <= u < 1.0
-        assert u == state / m
+        assert u == gen.state / m
 
     def test_exact_big_integers(self):
         # way past 2**64: must stay exact
         m = 2**97
-        p = LcgParams(m, 3**40, 7**30, 12345)
-        state, u = lcg_next(p.seed, p)
-        assert state == (3**40 * 12345 + 7**30) % m
+        gen = Lcg(LcgParams(m, 3**40, 7**30, 12345))
+        gen.next_uniform()
+        assert gen.state == (3**40 * 12345 + 7**30) % m
 
     def test_stream_matches_reference_recurrence(self):
         p = LcgParams(2**18, 4649, 819, 1)
@@ -179,20 +176,33 @@ class TestBruteForcePeriod:
 
 
 # ---------------------------------------------------------------------------
-# combined generator and Wichmann-Hill
+# the Wichmann-Hill combined generator
 
 
 class TestCombined:
     def test_step_all_components(self):
-        states, u = combined_lcg_next((1, 1, 1), (30269, 30307, 30323), (171, 172, 170))
-        assert states == (171, 172, 170)
+        wh = WichmannHill(1, 1, 1)
+        u = wh.next_uniform()
+        assert wh.states == (171, 172, 170)
         assert u == (171 / 30269 + 172 / 30307 + 170 / 30323) % 1.0
+        # every later step against the component recurrence, summed in order
+        states = wh.states
+        for _ in range(1000):
+            states = tuple(
+                (a * s) % m
+                for s, a, m in zip(states, WH_AS183_MULTIPLIERS, WH_AS183_MODULI)
+            )
+            want = sum(s / m for s, m in zip(states, WH_AS183_MODULI)) % 1.0
+            assert wh.next_uniform() == want
+        assert wh.states == states
 
     def test_validation(self):
+        # each component seed lies in [1, m - 1] for its own modulus
+        WichmannHill(30268, 30306, 30322)
         with pytest.raises(ValueError):
-            combined_lcg_next((1, 1), (30269, 30307, 30323), (171, 172, 170))
+            WichmannHill(1, 30307, 1)
         with pytest.raises(ValueError):
-            CombinedLcg((10, 20), (3,), (1, 1))
+            WichmannHill(1, 1, -1)
 
     def test_wh_first_output_golden(self):
         # frozen: fractional sum after one step from seeds (1, 1, 1)
@@ -286,6 +296,24 @@ class TestMakeGenerator:
         fields = dict(kv.split("=") for kv in gen.descriptor[3:].split(","))
         for key, m in zip(("seed1", "seed2", "seed3"), (30269, 30307, 30323)):
             assert 1 <= int(fields[key]) <= m - 1
+
+    @given(
+        gen=st.one_of(
+            st.builds(
+                lambda m, a, c, y: Lcg(LcgParams(m, a % m or 1, c % m, y % m)),
+                st.integers(2, 2**64), st.integers(1, 2**64),
+                st.integers(0, 2**64), st.integers(0, 2**64),
+            ),
+            st.builds(WichmannHill, st.integers(1, 30268), st.integers(1, 30306),
+                      st.integers(1, 30322)),
+            st.builds(MT19937, st.integers(0, 2**32 - 1)),
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_descriptor_rebuilds_the_stream(self, gen):
+        again = make_generator(gen.descriptor)
+        assert type(again) is type(gen)
+        assert again.generate(1000).tolist() == gen.generate(1000).tolist()
 
     @pytest.mark.parametrize(
         "descriptor",

@@ -193,8 +193,7 @@ class TestSpectralAccept:
         assert rep.verdict == "reject"
         assert rep.dims == (2, 3, 4, 5, 6)
         assert rep.accuracy_sq == {2: 168328, 3: 1496, 4: 266, 5: 84, 6: 52}
-        for d in rep.dims:
-            assert rep.passes(d) is False
+        assert [r.verdict for r in rep.results] == ["reject"] * 5
 
     def test_good_multiplier_accepted(self):
         rep = spectral_accept(GOOD, d_max=6)
@@ -202,8 +201,7 @@ class TestSpectralAccept:
         assert rep.accuracy_sq == {
             2: 1865046914, 3: 1553522, 4: 48775, 5: 5670, 6: 1495
         }
-        for d in rep.dims:
-            assert rep.passes(d) is True
+        assert [r.verdict for r in rep.results] == ["pass"] * 5
 
     def test_descriptor_and_attributes(self):
         rep = spectral_accept(SMALL_MOD, d_max=3)
@@ -215,8 +213,7 @@ class TestSpectralAccept:
     def test_dimensions_beyond_rule_reported_without_verdict(self):
         rep = spectral_accept(SMALL_MOD, d_max=8)
         assert rep.dims == (2, 3, 4, 5, 6, 7, 8)
-        assert rep.passes(7) is None
-        assert rep.passes(8) is None
+        assert [r.verdict for r in rep.results[5:]] == ["info", "info"]
         assert rep.verdict == "reject"  # unchanged by the unruled dimensions
         assert rep.accuracy_sq[7] > 0 and rep.accuracy_sq[8] > 0
 
@@ -241,20 +238,23 @@ class TestSpectralAccept:
 
     def test_to_dict_round_trips_through_json(self):
         rep = spectral_accept(SMALL_MOD, d_max=6)
-        d = json.loads(json.dumps(rep.to_dict()))
-        assert d["verdict"] == "reject"
-        assert d["dims"] == [2, 3, 4, 5, 6]
-        assert d["accuracy_sq"]["2"] == 168328
-        assert d["threshold_sq"]["2"] == 2**30
-        assert d["per_dim_pass"]["6"] is False
-        assert d["accuracy"]["2"] == pytest.approx(math.sqrt(168328), rel=REL)
-        assert d["shortest_vector"]["3"] == list(rep.shortest_vectors[3])
+        d = json.loads(json.dumps([r.to_dict() for r in rep.results]))
+        assert [r["name"] for r in d] == [f"spectral-d{k}" for k in rep.dims]
+        assert d[0]["detail"]["accuracy_sq"] == 168328
+        assert d[0]["detail"]["threshold_sq"] == 2**30
+        assert d[0]["detail"]["threshold"] == 32768.0
+        assert d[4]["verdict"] == "reject"
+        assert d[0]["statistic"] == pytest.approx(math.sqrt(168328), rel=REL)
+        assert d[0]["p_value"] is None and d[0]["alpha"] is None
+        assert d[1]["detail"]["shortest_vector"] == list(rep.shortest_vectors[3])
 
     def test_to_dict_omits_thresholds_beyond_rule(self):
-        d = spectral_accept(SMALL_MOD, d_max=8).to_dict()
-        assert "7" not in d["threshold_sq"]
-        assert "7" not in d["per_dim_pass"]
-        assert "7" in d["accuracy_sq"]
+        d = [r.to_dict() for r in spectral_accept(SMALL_MOD, d_max=8).results]
+        assert d[5]["name"] == "spectral-d7"
+        assert d[5]["detail"]["threshold"] is None
+        assert d[5]["detail"]["threshold_sq"] is None
+        assert d[5]["verdict"] == "info"
+        assert d[5]["detail"]["accuracy_sq"] > 0
 
 
 # ---------------------------------------------------------------------------

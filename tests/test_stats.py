@@ -150,6 +150,23 @@ class TestResultContainer:
         with pytest.raises(ValueError):
             ResultRecord("x", 1.0, 1.5)
 
+    def test_explicit_verdict_without_p_value(self):
+        for verdict in ("pass", "reject", "error", "info"):
+            assert ResultRecord("x", None, None, None, {}, verdict).to_dict() == {
+                "name": "x",
+                "statistic": None,
+                "p_value": None,
+                "alpha": None,
+                "verdict": verdict,
+                "detail": {},
+            }
+        with pytest.raises(ValueError):
+            ResultRecord("x", 1.0, None, None)  # neither a p-value nor a verdict
+        with pytest.raises(ValueError):
+            ResultRecord("x", 1.0, None, None, {}, "accept")
+        with pytest.raises(ValueError):
+            ResultRecord("x", 1.0, 0.5, 0.01, {}, "pass")  # follows from p and alpha
+
     def test_to_dict(self):
         d = ResultRecord("x", 2.0, 0.5, detail={"k": 1}).to_dict()
         assert d == {
