@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -33,6 +35,7 @@ from . import __version__
 from .battery import BatteryConfig, run_battery
 from .generators import (
     DEFAULT_FACTOR_BOUND,
+    GENERATOR_KINDS,
     FactorizationError,
     Lcg,
     brute_force_period,
@@ -134,7 +137,9 @@ EXIT_IO = 3
 _EXIT_CODES = {"pass": EXIT_PASS, "accept": EXIT_PASS, "reject": EXIT_REJECT,
                "error": EXIT_USAGE}
 
-_DESCRIPTOR_PREFIXES = ("lcg:", "wh:", "mt:")
+_DESCRIPTOR_PREFIXES = tuple(f"{kind}:" for kind in GENERATOR_KINDS)
+# How any descriptor starts, whether or not its kind is known.
+_KIND_HEAD = re.compile(r"[A-Za-z]\w*:")
 
 
 def _jsonable(obj):
@@ -345,9 +350,18 @@ def _battery_config(args) -> BatteryConfig:
     return BatteryConfig(**kwargs)
 
 
+def _is_descriptor(src: str) -> bool:
+    """A generator descriptor, not a sample-file path: a known kind, or a
+    'kind:' head that names no existing file (an unknown kind, so a usage
+    error rather than a missing file)."""
+    if src.startswith(_DESCRIPTOR_PREFIXES):
+        return True
+    return _KIND_HEAD.match(src) is not None and not os.path.exists(src)
+
+
 def _run_test(args):
     src = args.source
-    if src.startswith(_DESCRIPTOR_PREFIXES):
+    if _is_descriptor(src):
         gen = make_generator(src)
         sample = gen.sample(args.count)
         descriptor = gen.descriptor

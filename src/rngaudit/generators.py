@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_FACTOR_BOUND = 10**7
+GENERATOR_KINDS = ("lcg", "wh", "mt")
 SAMPLE_HEADER_PREFIX = "# rngaudit-sample v1"
 
 
@@ -428,10 +429,17 @@ def _atomic_write_text(path, text: str) -> None:
         raise
 
 
+# Text writers convert this many values to Python floats at a time; a
+# whole large array at once would hold a second copy of it next to its lines.
+_TEXT_BLOCK = 1 << 12
+
+
 def save_sample(sample: Sample, path) -> None:
     """Write one decimal value per line, preceded by a provenance header."""
     lines = [f"{SAMPLE_HEADER_PREFIX} {sample.provenance}"]
-    lines.extend(repr(float(v)) for v in sample.values)
+    values = sample.values
+    for start in range(0, values.size, _TEXT_BLOCK):
+        lines.extend(map(repr, values[start:start + _TEXT_BLOCK].tolist()))
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -440,7 +448,7 @@ def load_sample(path) -> Sample:
     provenance = "external file"
     values = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -450,7 +458,10 @@ def load_sample(path) -> Sample:
                     if tail:
                         provenance = tail
                 continue
-            values.append(float(line))
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
     return Sample(np.asarray(values, dtype=np.float64), provenance=provenance)
 
 
@@ -518,4 +529,6 @@ def make_generator(descriptor: str, seed: int | None = None) -> UniformGenerator
         if seed is None and "seed" not in fields:
             raise ValueError("mt descriptor has no seed and none was supplied")
         return MT19937(fields["seed"] if seed is None else seed)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    raise ValueError(
+        f"unknown generator kind {kind!r} (known kinds: {', '.join(GENERATOR_KINDS)})"
+    )

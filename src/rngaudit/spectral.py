@@ -12,21 +12,21 @@ row set (m, 0, ..., 0), (-a, 1, 0, ...), (-a^2, 0, 1, ...), ... with
 determinant +-m.
 
 Everything is exact: the shortest vector is found by Lagrange reduction
-for d = 2 and by LLL reduction (rational arithmetic) followed by a
-bounded integer enumeration for d >= 3, and squared lengths are kept as
-Python integers.  The acceptance rule nu_d >= 2**(30/d) for d = 2..6 is
-evaluated in squared form, where both sides are exact integers.
+for d = 2 and by integral LLL reduction (integer Gram-Schmidt data,
+exact divisions only) followed by a bounded integer enumeration for
+d >= 3, and squared lengths are kept as Python integers.  The
+acceptance rule nu_d >= 2**(30/d) for d = 2..6 is evaluated in squared
+form, where both sides are exact integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .generators import LcgParams, _atomic_write_text
+from .generators import _TEXT_BLOCK, LcgParams, _atomic_write_text
 from .stats import TestResult, _values
 
 __all__ = [
@@ -98,61 +98,91 @@ def _lagrange_shortest(b1, b2) -> list[int]:
         u, v = v, u
 
 
-def _gso(basis):
-    """Gram-Schmidt data (mu, squared norms) in exact rationals."""
-    n = len(basis)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar_sq = [Fraction(0)] * n
-    bstar = [[Fraction(x) for x in row] for row in basis]
-    for i in range(n):
-        for j in range(i):
-            if bstar_sq[j] == 0:
+def _round_half_even(p: int, q: int) -> int:
+    """Nearest integer to p/q for positive q, ties to even (as round() of the ratio)."""
+    floor, rem = divmod(p, q)
+    if 2 * rem > q or (2 * rem == q and floor & 1):
+        return floor + 1
+    return floor
+
+
+def _integral_gso(b):
+    """Integral Gram-Schmidt data (lam, d) of an integer basis.
+
+    d[0] = 1 and d[i+1] = d[i] * |b*_i|**2 are the Gram determinants of
+    the leading rows, and lam[i][j] = d[j+1] * mu[i][j] for j < i; all
+    are integers and every division below is exact (Cohen 1993, Alg.
+    2.6.7, step 2).
+    """
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = _dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
                 raise ValueError("basis is singular")
-            mu[i][j] = Fraction(
-                sum(Fraction(basis[i][t]) * bstar[j][t] for t in range(len(basis[i])))
-            ) / bstar_sq[j]
-            for t in range(len(bstar[i])):
-                bstar[i][t] -= mu[i][j] * bstar[j][t]
-        bstar_sq[i] = sum(x * x for x in bstar[i])
-    return mu, bstar_sq
-
-
-_LLL_DELTA = Fraction(99, 100)
+            else:
+                d[k + 1] = u
+    return lam, d
 
 
 def _lll_reduce(basis):
-    """LLL reduction with exact rational Gram-Schmidt (fine for d <= 8)."""
+    """LLL reduction (delta = 99/100) in exact integer arithmetic.
+
+    Integral LLL after Cohen 1993, Alg. 2.6.7: a size reduction updates
+    row k of lam in place and a swap updates lam and d by exact
+    divisions, so the Gram-Schmidt data is never rebuilt.  Returns the
+    reduced basis with its (lam, d).
+    """
     b = [list(map(int, row)) for row in basis]
     n = len(b)
-    mu, bstar_sq = _gso(b)
+    lam, d = _integral_gso(b)
     k = 1
     while k < n:
+        row = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = _round_half_even(row[j], d[j + 1])
             if q != 0:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, bstar_sq = _gso(b)
-        if bstar_sq[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
+                row[j] -= q * d[j + 1]
+                for i in range(j):
+                    row[i] -= q * lam[j][i]
+        lk = row[k - 1]
+        # Lovasz: |b*_k|^2 >= (99/100 - mu^2) |b*_{k-1}|^2, times 100 d[k] d[k-1]
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] * d[k] - 100 * lk * lk:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, bstar_sq = _gso(b)
-            k = max(k - 1, 1)
-    return b
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return b, lam, d
 
 
-def _enumerate_shortest(reduced) -> list[int]:
+def _enumerate_shortest(reduced, lam, d) -> list[int]:
     """Exact shortest nonzero vector of an LLL-reduced integer basis.
 
     Depth-first integer enumeration with floating-point Gram-Schmidt
-    bounds inflated by a generous relative slack; every candidate's
-    squared norm is re-computed exactly in integers, so float error can
-    only admit spurious boundary candidates, never verdicts.
+    bounds (mu = lam/d and |b*|^2 ratios of d, each a correctly rounded
+    int/int division) inflated by a generous relative slack; every
+    candidate's squared norm is re-computed exactly in integers, so
+    float error can only admit spurious boundary candidates, never
+    verdicts.
     """
     n = len(reduced)
-    mu, bstar_sq = _gso(reduced)
-    muf = [[float(mu[i][j]) for j in range(n)] for i in range(n)]
-    bf = [float(x) for x in bstar_sq]
+    muf = [[lam[i][j] / d[j + 1] for j in range(i)] for i in range(n)]
+    bf = [d[i + 1] / d[i] for i in range(n)]
     best_vec = min(reduced, key=_norm_sq)
     best_sq = _norm_sq(best_vec)
     slack = 1.0 + 1e-6
@@ -200,7 +230,7 @@ def shortest_vector(basis) -> tuple[list[int], float]:
     if len(rows) == 2:
         vec = _lagrange_shortest(rows[0], rows[1])
     else:
-        vec = _enumerate_shortest(_lll_reduce(rows))
+        vec = _enumerate_shortest(*_lll_reduce(rows))
     return vec, math.sqrt(_norm_sq(vec))
 
 
@@ -380,7 +410,10 @@ def export_cloud_csv(cloud: PointCloud, path) -> int:
     """Write the cloud as CSV with header x1,x2[,x3]; returns the row count."""
     header = ",".join(f"x{i + 1}" for i in range(cloud.dimension))
     lines = [header]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in cloud.points)
+    pts = cloud.points
+    for start in range(0, len(pts), _TEXT_BLOCK):
+        columns = pts[start:start + _TEXT_BLOCK].T.tolist()
+        lines.extend(",".join(map(repr, row)) for row in zip(*columns))
     _atomic_write_text(path, "\n".join(lines) + "\n")
     return len(cloud)
 
@@ -406,10 +439,11 @@ def export_cloud_svg(cloud: PointCloud, path, max_points: int = 32768) -> int:
         f'viewBox="0 0 {s} {s}">',
         f'<rect width="{s}" height="{s}" fill="white"/>',
     ]
-    for x, y in pts:
-        cx = round(x * s, 2)
-        cy = round(s - y * s, 2)
-        parts.append(f'<circle cx="{cx}" cy="{cy}" r="1" fill="black"/>')
+    # numpy's rounding (scale, rint, unscale), not Python's correctly rounded round()
+    cxs = np.round(pts[:, 0] * s, 2).tolist()
+    cys = np.round(s - pts[:, 1] * s, 2).tolist()
+    parts.extend(f'<circle cx="{cx}" cy="{cy}" r="1" fill="black"/>'
+                 for cx, cy in zip(cxs, cys))
     parts.append("</svg>")
     _atomic_write_text(path, "\n".join(parts) + "\n")
     return int(pts.shape[0])

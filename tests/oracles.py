@@ -7,6 +7,7 @@ with the package is evidence, not circularity.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -152,3 +153,49 @@ def anderson_darling_a2(values, dps=30):
                 mpmath.log(u[i - 1]) + mpmath.log(1 - mpmath.mpf(u[n - i]))
             )
         return float(-n - total / n)
+
+
+def fraction_gso(basis):
+    """Gram-Schmidt data (mu, squared norms) in exact rationals."""
+    n = len(basis)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar_sq = [Fraction(0)] * n
+    bstar = [[Fraction(x) for x in row] for row in basis]
+    for i in range(n):
+        for j in range(i):
+            if bstar_sq[j] == 0:
+                raise ValueError("basis is singular")
+            mu[i][j] = Fraction(
+                sum(Fraction(basis[i][t]) * bstar[j][t] for t in range(len(basis[i])))
+            ) / bstar_sq[j]
+            for t in range(len(bstar[i])):
+                bstar[i][t] -= mu[i][j] * bstar[j][t]
+        bstar_sq[i] = sum(x * x for x in bstar[i])
+    return mu, bstar_sq
+
+
+_LLL_DELTA = Fraction(99, 100)
+
+
+def fraction_lll_reduce(basis):
+    """LLL reduction with exact rational Gram-Schmidt (fine for d <= 8).
+
+    The Gram-Schmidt data is rebuilt after every size reduction and
+    swap: slow, but plainly the textbook steps."""
+    b = [list(map(int, row)) for row in basis]
+    n = len(b)
+    mu, bstar_sq = fraction_gso(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, bstar_sq = fraction_gso(b)
+        if bstar_sq[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, bstar_sq = fraction_gso(b)
+            k = max(k - 1, 1)
+    return b

@@ -166,6 +166,27 @@ class TestBatteryCommand:
         assert code == EXIT_IO
         assert "I/O error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["xyz:seed=1", "LCG:m=10,a=7,c=7,seed=7"])
+    def test_unknown_descriptor_kind_is_usage_error(self, source, capsys):
+        code = main(["test", source, "-n", "1000", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "unknown generator kind" in err and "lcg, wh, mt" in err
+
+    def test_existing_file_with_kind_head_is_a_sample(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run:1.txt").write_text("".join(f"{i / 1000}\n" for i in range(1000)))
+        out = tmp_path / "r.json"
+        main(["test", "run:1.txt", "--tests", "uniformity", "--quiet", "--json", str(out)])
+        assert _load_report(out)["summary"]["sample_size"] == 1000
+
+    def test_non_numeric_line_is_usage_error(self, tmp_path, capsys):
+        sample = tmp_path / "bad.txt"
+        sample.write_text("# header\n0.25\nzero point five\n")
+        code = main(["test", str(sample), "--quiet"])
+        assert code == EXIT_USAGE
+        assert f"{sample}:3:" in capsys.readouterr().err
+
     def test_alpha_flows_into_every_result(self, tmp_path):
         out = tmp_path / "r.json"
         main(["test", "mt:seed=1", "-n", "20000", "--alpha", "0.2",

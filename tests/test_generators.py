@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,12 @@ class TestSample:
         s = load_sample(path)
         assert s.values.tolist() == [0.25, 0.75]
         assert s.provenance == "external file"
+
+    def test_non_numeric_line_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0.25\n\n# note\n0.5x\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: .*'0\.5x'"):
+            load_sample(path)
 
     def test_no_temp_litter(self, tmp_path):
         save_sample(Sample(np.array([0.5])), tmp_path / "s.txt")

@@ -5,12 +5,17 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rngaudit.generators import LcgParams, make_generator
+from rngaudit.generators import LcgParams, make_generator, save_sample
 from rngaudit.spectral import (
+    _lll_reduce,
+    _round_half_even,
     PointCloud,
     SpectralReport,
     acceptance_threshold,
@@ -26,7 +31,7 @@ from rngaudit.spectral import (
     spectral_accuracy_sq,
 )
 
-from oracles import lattice_min_norm_sq
+from oracles import fraction_lll_reduce, lattice_min_norm_sq
 
 REL = 1e-12
 
@@ -98,6 +103,42 @@ class TestShortestVector:
     def test_scaled_identity(self):
         _, length = shortest_vector([[5, 0], [0, 5]])
         assert length == 5.0
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],   # second row dependent
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],   # last row dependent
+    ])
+    def test_singular_basis_raises(self, rows):
+        with pytest.raises(ValueError, match="singular"):
+            shortest_vector(rows)
+
+
+class TestIntegralLll:
+    """The integer LLL takes the same steps as the rational textbook one."""
+
+    @given(m=st.integers(2, 2**64), a=st.integers(1, 2**64), d=st.integers(3, 8))
+    @settings(max_examples=20, deadline=None)
+    def test_same_basis_as_rational_lll(self, m, a, d):
+        basis = dual_lattice_basis(LcgParams(m, 1 + (a - 1) % (m - 1), 0, 1), d)
+        reduced, lam, dets = _lll_reduce(basis)
+        assert reduced == fraction_lll_reduce(basis)
+        assert dets[0] == 1 and all(x > 0 for x in dets)
+
+    def test_same_basis_on_benchmark_multipliers(self):
+        for m, a in ((2**31 - 1, 16807), (2**31 - 1, 742938285), (2**32, 69069)):
+            for d in (3, 4, 5, 6):
+                basis = dual_lattice_basis(LcgParams(m, a, 0, 1), d)
+                assert _lll_reduce(basis)[0] == fraction_lll_reduce(basis), (m, a, d)
+
+    @pytest.mark.parametrize("num", [1, -1, 3, -3, 5, -5])
+    @pytest.mark.parametrize("scale", [1, 3, 2**70])
+    def test_ties_round_to_even(self, num, scale):
+        p, q = num * scale, 2 * scale
+        assert _round_half_even(p, q) == round(Fraction(p, q))
+
+    @given(p=st.integers(-(2**80), 2**80), q=st.integers(1, 2**80))
+    def test_rounding_matches_fraction(self, p, q):
+        assert _round_half_even(p, q) == round(Fraction(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +412,26 @@ class TestExports:
         drawn = export_cloud_svg(cloud, tmp_path / "s.svg", max_points=4)
         assert drawn == 4  # stride ceil(10/4) = 3 keeps ceil(10/3) = 4
         assert (tmp_path / "s.svg").read_text().count("<circle") == 4
+
+    def test_bytes_equal_per_element_formatting(self, tmp_path):
+        # more rows than one text block, so block edges are covered
+        values = make_generator("lcg:m=262144,a=4649,c=819,seed=1").sample(9000)
+        pairs, triples = point_cloud(values, 2), point_cloud(values, 3)
+        export_cloud_csv(pairs, tmp_path / "p.csv")
+        export_cloud_csv(triples, tmp_path / "t.csv")
+        export_cloud_svg(pairs, tmp_path / "p.svg")
+        save_sample(values, tmp_path / "s.txt")
+        for cloud, name in ((pairs, "p.csv"), (triples, "t.csv")):
+            header = ",".join(f"x{i + 1}" for i in range(cloud.dimension))
+            rows = [",".join(repr(float(v)) for v in row) for row in cloud.points]
+            assert (tmp_path / name).read_text() == "\n".join([header, *rows]) + "\n"
+        circles = [f'<circle cx="{round(x * 800, 2)}" cy="{round(800 - y * 800, 2)}" '
+                   f'r="1" fill="black"/>' for x, y in pairs.points]
+        svg = (tmp_path / "p.svg").read_text().splitlines()
+        assert svg[2:-1] == circles
+        lines = [f"# rngaudit-sample v1 {values.provenance}",
+                 *(repr(float(v)) for v in values.values)]
+        assert (tmp_path / "s.txt").read_text() == "\n".join(lines) + "\n"
 
     def test_svg_is_two_dimensional_only(self, tmp_path):
         cloud = point_cloud(np.linspace(0, 0.9, 10), 3)
