@@ -42,6 +42,7 @@ from .generators import (
     full_period_predicate,
     load_sample,
     make_generator,
+    sample_lines,
     save_sample,
     _atomic_write_text,
 )
@@ -546,9 +547,7 @@ def rerun_from_manifest(manifest: dict) -> dict:
 def _print_summary(command, report, extra, quiet):
     if command == "generate" and extra is not None and report["summary"]["output"] == "stdout":
         # The values are the payload; print them even under --quiet.
-        sys.stdout.write(f"# rngaudit-sample v1 {extra.provenance}\n")
-        for v in extra.values:
-            sys.stdout.write(f"{float(v)!r}\n")
+        sys.stdout.writelines(sample_lines(extra))
         return
     if quiet:
         return

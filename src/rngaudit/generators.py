@@ -3,10 +3,14 @@
 Three families are provided: the plain linear congruential generator
 (LCG), a combined three-stream LCG built on the AS 183 constants of
 Wichmann and Hill (1982), and a 32-bit Mersenne Twister used as the
-reference generator.  Every recurrence runs on Python integers, which
-are arbitrary precision, so ``a * state + c`` never overflows for any
-modulus up to and beyond 2**64.  A uniform is produced by one exact
-integer division per step and always lies in [0, 1).
+reference generator.  Scalar draws step the recurrence on Python
+integers, which are arbitrary precision, so ``a * state + c`` never
+overflows.  Bulk draws step the first 4096 states the same way and
+then jump each later state ahead from the one 4096 steps before it
+(Knuth, TAOCP vol. 2, 3.2.1): in uint64 arrays for moduli up to 2**32,
+where the jump cannot overflow, and in arrays of Python integers above
+that.  Either way a uniform is one exact integer state divided by the
+modulus, correctly rounded, and always lies in [0, 1).
 
 The module also owns period analysis for the LCG family -- a
 full-period test based on the classical increment/multiplier
@@ -24,11 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # optional compiled kernel for the brute-force cycle finder
-    import numba
-except ImportError:  # pragma: no cover - numba is an optional extra
-    numba = None
-
 __all__ = [
     "FactorizationError",
     "LcgParams",
@@ -41,6 +40,7 @@ __all__ = [
     "brute_force_period",
     "make_generator",
     "save_sample",
+    "sample_lines",
     "load_sample",
     "WH_AS183_MODULI",
     "WH_AS183_MULTIPLIERS",
@@ -95,6 +95,52 @@ class LcgParams:
         return LcgParams(self.modulus, self.multiplier, self.increment, seed)
 
 
+# Bulk LCG draws step this many states in Python integers; every later
+# state is the one this many steps before it, jumped ahead in one array op.
+_JUMP = 1 << 12
+
+
+def _jump_constants(m: int, a: int, c: int, k: int) -> tuple[int, int]:
+    """(A, C) with x_{t+k} = (A x_t + C) mod m: A = a**k and
+    C = c (a**k - 1)/(a - 1), both mod m."""
+    if a == 1:
+        geometric = k
+    else:
+        geometric = (pow(a, k, (a - 1) * m) - 1) // (a - 1)
+    return pow(a, k, m), c * geometric % m
+
+
+def _lcg_states(m: int, a: int, c: int, y: int, n: int) -> tuple[np.ndarray, int]:
+    """The n states after y of y' = (a y + c) mod m, and the last of them
+    (y itself when n = 0).
+
+    The array is uint64 for m <= 2**32, where A y + C <= (m-1)**2 + (m-1)
+    < 2**64 is exact, and holds Python integers above that.
+    """
+    out = np.empty(n, dtype=np.uint64 if m <= 1 << 32 else object)
+    head = []
+    for _ in range(min(n, _JUMP)):
+        y = (a * y + c) % m
+        head.append(y)
+    out[: len(head)] = head
+    if n > _JUMP:
+        big_a, big_c = _jump_constants(m, a, c, _JUMP)
+        mod = m
+        if out.dtype != object:
+            big_a, big_c, mod = np.uint64(big_a), np.uint64(big_c), np.uint64(m)
+        for start in range(_JUMP, n, _JUMP):
+            stop = min(start + _JUMP, n)
+            out[start:stop] = (big_a * out[start - _JUMP : stop - _JUMP] + big_c) % mod
+        y = int(out[-1])
+    return out, y
+
+
+def _uniforms(states: np.ndarray, m: int) -> np.ndarray:
+    """states / m as float64: both exact, so each quotient is the correctly
+    rounded one that the scalar ``state / m`` gives."""
+    return (states / m).astype(np.float64, copy=False)
+
+
 class UniformGenerator:
     """Base class for a deterministic stream of uniforms in [0, 1)."""
 
@@ -106,12 +152,13 @@ class UniformGenerator:
         raise NotImplementedError
 
     def generate(self, n: int) -> np.ndarray:
+        """The next n uniforms of the stream, the same as n ``next_uniform``."""
         if n < 0:
             raise ValueError("count must be nonnegative")
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.next_uniform()
-        return out
+        return self._block(n)
+
+    def _block(self, n: int) -> np.ndarray:
+        raise NotImplementedError
 
     def sample(self, n: int) -> "Sample":
         return Sample(self.generate(n), provenance=self.descriptor)
@@ -133,17 +180,11 @@ class Lcg(UniformGenerator):
         self.state = (p.multiplier * self.state + p.increment) % p.modulus
         return self.state / p.modulus
 
-    def generate(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("count must be nonnegative")
-        m, a, c = self.params.modulus, self.params.multiplier, self.params.increment
-        y = self.state
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            y = (a * y + c) % m
-            out[i] = y / m
-        self.state = y
-        return out
+    def _block(self, n: int) -> np.ndarray:
+        p = self.params
+        states, self.state = _lcg_states(p.modulus, p.multiplier, p.increment,
+                                         self.state, n)
+        return _uniforms(states, p.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +225,16 @@ class WichmannHill(UniformGenerator):
         s3 = (170 * s3) % 30323
         self.states = (s1, s2, s3)
         return (s1 / 30269 + s2 / 30307 + s3 / 30323) % 1.0
+
+    def _block(self, n: int) -> np.ndarray:
+        total = np.zeros(n)
+        states = []
+        for m, a, s in zip(WH_AS183_MODULI, WH_AS183_MULTIPLIERS, self.states):
+            component, last = _lcg_states(m, a, 0, s, n)
+            total += _uniforms(component, m)  # 0.0 + u1, then + u2, then + u3
+            states.append(last)
+        self.states = tuple(states)
+        return np.remainder(total, 1.0, out=total)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +320,7 @@ class MT19937(UniformGenerator):
     def next_uniform(self) -> float:
         return self.next_word() / _TWO32
 
-    def generate(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("count must be nonnegative")
+    def _block(self, n: int) -> np.ndarray:
         parts = []
         need = n
         avail = self._cache.size - self._pos
@@ -350,43 +399,49 @@ def full_period_predicate(
     return True
 
 
-_NUMBA_STATE_LIMIT = 1 << 24
-
-if numba is not None:
-    @numba.njit(cache=True)
-    def _period_kernel(m, a, c, y0, cap):  # pragma: no cover - compiled
-        seen = np.full(m, -1, dtype=np.int32)
-        seen[y0] = 0
-        y = y0
-        for i in range(1, cap + 1):
-            y = (a * y + c) % m
-            if seen[y] >= 0:
-                return i - seen[y]
-            seen[y] = i
-        return -1
+# The period walk compares this many states at a time.
+_WALK_BLOCK = 1 << 18
 
 
 def brute_force_period(params: LcgParams, cap: int) -> int | None:
     """Cycle length reached from the seed, found by direct enumeration.
 
-    Walks the recurrence marking first-visit indices until a state repeats
-    and returns the cycle length (a leading tail, possible for degenerate
-    multipliers, is not counted).  Returns None when more than ``cap``
-    steps would be needed to see a repeat.
+    The walk x_0 = seed, x_1, ... first repeats a state at step mu + lam,
+    where lam is the cycle length and mu the leading tail (nonzero only for
+    degenerate multipliers, and not counted).  Returns lam when
+    mu + lam <= ``cap``, and None when more than ``cap`` steps would be
+    needed to see a repeat.
+
+    Modulo each prime power p**e of m the map is a bijection when p does
+    not divide a; when p divides a it multiplies the difference of any two
+    states by a multiple of p, so after e steps all states agree.  The tail
+    is therefore at most log2(m) steps long.  The walk steps bit_length(m)
+    times to reach a state on the cycle, waits for that state to return,
+    in blocks of jumped-ahead states, and then finds mu as the first t with
+    x_t = x_{t + lam}, in at most mu + 1 scalar steps.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     m, a, c = params.modulus, params.multiplier, params.increment
-    y = params.seed
-    if numba is not None and m <= _NUMBA_STATE_LIMIT and cap < 2**31:
-        r = int(_period_kernel(m, a, c, y, cap))
-        return None if r < 0 else r
-    seen = {y: 0}
-    for i in range(1, cap + 1):
-        y = (a * y + c) % m
-        if y in seen:
-            return i - seen[y]
-        seen[y] = i
+    on_cycle = params.seed
+    for _ in range(m.bit_length()):
+        on_cycle = (a * on_cycle + c) % m
+    y = on_cycle
+    for done in range(0, cap, _WALK_BLOCK):
+        states, y = _lcg_states(m, a, c, y, min(_WALK_BLOCK, cap - done))
+        hits = np.flatnonzero(states == on_cycle)
+        if hits.size:
+            lam = done + int(hits[0]) + 1
+            break
+    else:
+        return None
+    big_a, big_c = _jump_constants(m, a, c, lam)
+    x = params.seed
+    z = (big_a * x + big_c) % m
+    for _ in range(cap - lam + 1):  # t = 0 .. cap - lam
+        if x == z:
+            return lam
+        x, z = (a * x + c) % m, (a * z + c) % m
     return None
 
 
@@ -414,14 +469,20 @@ class Sample:
         return int(self.values.size)
 
 
-def _atomic_write_text(path, text: str) -> None:
-    """Write text via a temp file and rename, so readers never see halves."""
+def _atomic_write_text(path, chunks) -> None:
+    """Write text via a temp file and rename, so readers never see halves.
+
+    ``chunks`` is one str or an iterable of str pieces, written in order,
+    so a large file never has to exist as one string.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rngaudit-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -434,13 +495,18 @@ def _atomic_write_text(path, text: str) -> None:
 _TEXT_BLOCK = 1 << 12
 
 
-def save_sample(sample: Sample, path) -> None:
-    """Write one decimal value per line, preceded by a provenance header."""
-    lines = [f"{SAMPLE_HEADER_PREFIX} {sample.provenance}"]
+def sample_lines(sample: Sample):
+    """The sample file's text in pieces: the provenance header line, then
+    one decimal value per line, _TEXT_BLOCK lines per piece."""
+    yield f"{SAMPLE_HEADER_PREFIX} {sample.provenance}\n"
     values = sample.values
     for start in range(0, values.size, _TEXT_BLOCK):
-        lines.extend(map(repr, values[start:start + _TEXT_BLOCK].tolist()))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+        yield "".join([f"{v!r}\n" for v in values[start:start + _TEXT_BLOCK].tolist()])
+
+
+def save_sample(sample: Sample, path) -> None:
+    """Write one decimal value per line, preceded by a provenance header."""
+    _atomic_write_text(path, sample_lines(sample))
 
 
 def load_sample(path) -> Sample:

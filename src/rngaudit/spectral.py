@@ -408,13 +408,15 @@ def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dic
 
 def export_cloud_csv(cloud: PointCloud, path) -> int:
     """Write the cloud as CSV with header x1,x2[,x3]; returns the row count."""
-    header = ",".join(f"x{i + 1}" for i in range(cloud.dimension))
-    lines = [header]
     pts = cloud.points
-    for start in range(0, len(pts), _TEXT_BLOCK):
-        columns = pts[start:start + _TEXT_BLOCK].T.tolist()
-        lines.extend(",".join(map(repr, row)) for row in zip(*columns))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield ",".join(f"x{i + 1}" for i in range(cloud.dimension)) + "\n"
+        for start in range(0, len(pts), _TEXT_BLOCK):
+            columns = pts[start:start + _TEXT_BLOCK].T.tolist()
+            yield "".join([",".join(map(repr, row)) + "\n" for row in zip(*columns)])
+
+    _atomic_write_text(path, chunks())
     return len(cloud)
 
 
@@ -434,16 +436,18 @@ def export_cloud_svg(cloud: PointCloud, path, max_points: int = 32768) -> int:
         stride = -(-pts.shape[0] // max_points)
         pts = pts[::stride]
     s = SVG_SIZE
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
-        f'viewBox="0 0 {s} {s}">',
-        f'<rect width="{s}" height="{s}" fill="white"/>',
-    ]
-    # numpy's rounding (scale, rint, unscale), not Python's correctly rounded round()
-    cxs = np.round(pts[:, 0] * s, 2).tolist()
-    cys = np.round(s - pts[:, 1] * s, 2).tolist()
-    parts.extend(f'<circle cx="{cx}" cy="{cy}" r="1" fill="black"/>'
-                 for cx, cy in zip(cxs, cys))
-    parts.append("</svg>")
-    _atomic_write_text(path, "\n".join(parts) + "\n")
+
+    def chunks():
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
+               f'viewBox="0 0 {s} {s}">\n<rect width="{s}" height="{s}" fill="white"/>\n')
+        for start in range(0, len(pts), _TEXT_BLOCK):
+            block = pts[start:start + _TEXT_BLOCK]
+            # numpy's rounding (scale, rint, unscale), not Python's correctly rounded round()
+            cxs = np.round(block[:, 0] * s, 2).tolist()
+            cys = np.round(s - block[:, 1] * s, 2).tolist()
+            yield "".join([f'<circle cx="{cx}" cy="{cy}" r="1" fill="black"/>\n'
+                           for cx, cy in zip(cxs, cys)])
+        yield "</svg>\n"
+
+    _atomic_write_text(path, chunks())
     return int(pts.shape[0])

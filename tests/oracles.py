@@ -135,6 +135,36 @@ def lcg_sequence(m, a, c, seed, n):
     return out
 
 
+def dict_period(params, cap):
+    """Cycle length reached from the seed by marking first-visit indices in
+    a dict until a state repeats; None when more than cap steps are needed."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    m, a, c = params.modulus, params.multiplier, params.increment
+    y = params.seed
+    seen = {y: 0}
+    for i in range(1, cap + 1):
+        y = (a * y + c) % m
+        if y in seen:
+            return i - seen[y]
+        seen[y] = i
+    return None
+
+
+def first_repeat_step(params):
+    """mu + lambda: the step at which the walk from the seed first repeats."""
+    m, a, c = params.modulus, params.multiplier, params.increment
+    y = params.seed
+    seen = {y}
+    step = 0
+    while True:
+        y = (a * y + c) % m
+        step += 1
+        if y in seen:
+            return step
+        seen.add(y)
+
+
 def anderson_darling_a2(values, dps=30):
     """A^2 against the uniform law with every log and the sum in mpmath.
 

@@ -68,6 +68,14 @@ class TestGenerate:
         assert out[0] == f"# rngaudit-sample v1 {TINY}"
         assert out[1:] == ["0.6", "0.9", "0.0", "0.7"]
 
+    def test_stdout_bytes_equal_the_sample_file(self, tmp_path, capsys):
+        # more values than one text block, so block edges are covered
+        target = tmp_path / "sample.txt"
+        assert main(["generate", "mt:seed=9", "-n", "9000", "-o", str(target)]) == EXIT_PASS
+        capsys.readouterr()
+        assert main(["generate", "mt:seed=9", "-n", "9000"]) == EXIT_PASS
+        assert capsys.readouterr().out == target.read_text()
+
     def test_quiet_still_prints_the_payload(self, capsys):
         code = main(["generate", TINY, "-n", "2", "--quiet"])
         out = capsys.readouterr().out.splitlines()

@@ -1,10 +1,11 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rngaudit import (
     FactorizationError,
@@ -19,8 +20,25 @@ from rngaudit import (
     save_sample,
     load_sample,
 )
-from rngaudit.generators import WH_AS183_MODULI, WH_AS183_MULTIPLIERS
-from oracles import ScalarMT, lcg_sequence
+from rngaudit.generators import _JUMP, WH_AS183_MODULI, WH_AS183_MULTIPLIERS
+from oracles import ScalarMT, dict_period, first_repeat_step, lcg_sequence
+
+# Block sizes around the jump-ahead edges of bulk generation.
+BLOCK_EDGES = (0, 1, _JUMP - 1, _JUMP, _JUMP + 1, 3 * _JUMP + 5)
+# Interleavings of scalar draws ("u") and bulk draws of each edge size.
+DRAWS = st.lists(st.sampled_from(("u", *BLOCK_EDGES)), min_size=1, max_size=4)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _draw_all(gen, draws):
+    """Uniforms from an interleaving of next_uniform() and generate(n)."""
+    out = []
+    for d in draws:
+        out.extend([gen.next_uniform()] if d == "u" else gen.generate(d).tolist())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +117,22 @@ class TestLcgNext:
         want = [y / p.modulus for y in lcg_sequence(p.modulus, 4649, 819, 1, 500)]
         assert got.tolist() == want
 
+    @given(m=st.one_of(st.integers(2, 2**32), st.integers(2, 2**97)),
+           a=st.integers(1, 2**97), c=st.integers(0, 2**97),
+           y=st.integers(0, 2**97), draws=DRAWS)
+    @example(m=2**32, a=69069, c=1, y=2**32 - 1, draws=[3 * _JUMP + 5, "u", _JUMP + 1])
+    @example(m=2**32 + 1, a=3**20, c=2**32, y=2**32, draws=[3 * _JUMP + 5, "u", _JUMP])
+    @example(m=2**33 - 9, a=3**20, c=1, y=2**33 - 10, draws=[_JUMP + 1])  # A y + C > 2**64
+    @settings(max_examples=40, deadline=None)
+    def test_bulk_and_scalar_draws_follow_the_recurrence(self, m, a, c, y, draws):
+        params = LcgParams(m, a % m or 1, c % m, y % m)
+        gen = Lcg(params)
+        got = _draw_all(gen, draws)
+        states = lcg_sequence(m, params.multiplier, params.increment, params.seed,
+                              len(got))
+        assert _bits(got) == _bits([s / m for s in states])
+        assert gen.state == (states[-1] if states else params.seed)
+
 
 # ---------------------------------------------------------------------------
 # full-period characterization and brute force
@@ -168,12 +202,54 @@ class TestBruteForcePeriod:
         with pytest.raises(ValueError):
             brute_force_period(LcgParams(10, 7, 7, 7), cap=0)
 
-    def test_fallback_path_matches_fast_path(self):
-        # cap >= 2**31 forces the plain-dict walk; results must agree
+    def test_large_cap_matches_dict_walk(self):
+        # a cap far past the repeat must not change the answer
         params = LcgParams(5000, 421, 17, 3)
-        fast = brute_force_period(params, cap=10**6)
-        slow = brute_force_period(params, cap=2**31)
-        assert fast == slow
+        assert brute_force_period(params, cap=2**31) == dict_period(params, cap=10**6)
+
+    @given(st.integers(2, 400), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_walk(self, m, data):
+        # every a (a = 1 and tails included), c, seed and cap
+        params = LcgParams(m, data.draw(st.integers(1, m - 1)),
+                           data.draw(st.integers(0, m - 1)),
+                           data.draw(st.integers(0, m - 1)))
+        cap = data.draw(st.integers(1, 2 * m + 2))
+        assert brute_force_period(params, cap) == dict_period(params, cap)
+
+    @given(st.integers(2, 400), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_cap_edges(self, m, data):
+        params = LcgParams(m, data.draw(st.integers(1, m - 1)),
+                           data.draw(st.integers(0, m - 1)),
+                           data.draw(st.integers(0, m - 1)))
+        edge = first_repeat_step(params)  # mu + lambda
+        lam = dict_period(params, cap=edge)
+        assert brute_force_period(params, cap=edge) == lam
+        if edge > 1:
+            assert brute_force_period(params, cap=edge - 1) is None
+
+    @pytest.mark.parametrize("params,edge,lam", [
+        (LcgParams(8, 2, 0, 1), 4, 1),            # 1 -> 2 -> 4 -> 0 -> 0
+        (LcgParams(2**10 * 3, 6, 5, 1), 10, 1),   # tail of 9, below 2's exponent 10
+        (LcgParams(2**16 * 7, 6, 1, 1), 17, 2),   # tail of 15, then a 2-cycle mod 7
+        (LcgParams(2**20, 4651, 819, 9), 2**19, 2**19),  # across walk blocks
+    ])
+    def test_cap_edges_with_tails_and_long_cycles(self, params, edge, lam):
+        assert first_repeat_step(params) == edge
+        assert brute_force_period(params, cap=edge) == lam
+        assert brute_force_period(params, cap=edge - 1) is None
+
+    def test_minstd_walk_holds_no_modulus_sized_array(self):
+        # minstd has period 2**31 - 2: a seen-array would take 8 GB and a
+        # visited dict some 100 MB at this cap
+        tracemalloc.start()
+        try:
+            assert brute_force_period(LcgParams(2**31 - 1, 16807, 0, 1), cap=10**6) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +271,23 @@ class TestCombined:
             )
             want = sum(s / m for s, m in zip(states, WH_AS183_MODULI)) % 1.0
             assert wh.next_uniform() == want
+        assert wh.states == states
+
+    @given(seeds=st.tuples(st.integers(1, 30268), st.integers(1, 30306),
+                           st.integers(1, 30322)), draws=DRAWS)
+    @settings(max_examples=20, deadline=None)
+    def test_bulk_and_scalar_draws_follow_the_recurrence(self, seeds, draws):
+        wh = WichmannHill(*seeds)
+        got = _draw_all(wh, draws)
+        states, want = seeds, []
+        for _ in got:
+            states = tuple(
+                (a * s) % m
+                for s, a, m in zip(states, WH_AS183_MULTIPLIERS, WH_AS183_MODULI)
+            )
+            s1, s2, s3 = states
+            want.append((s1 / 30269 + s2 / 30307 + s3 / 30323) % 1.0)
+        assert _bits(got) == _bits(want)
         assert wh.states == states
 
     def test_validation(self):
