@@ -23,6 +23,7 @@ Exit codes form a stable contract for CI gates:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -211,6 +212,11 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _test_names(text: str) -> tuple[str, ...] | None:
+    """--tests syntax: a comma list; an empty string keeps the default tests."""
+    return tuple(t.strip() for t in text.split(",") if t.strip()) if text else None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, default=None,
@@ -241,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="sample file path or generator descriptor")
     p.add_argument("-n", "--count", type=int, default=100_000,
                    help="sample length when source is a descriptor (default 100000)")
-    p.add_argument("--tests", default=None,
+    p.add_argument("--tests", type=_test_names, default=None,
                    help="comma list out of uniformity,permutation,serial,birthday")
-    p.add_argument("--bonferroni", action="store_true",
+    p.add_argument("--bonferroni", action="store_true", default=None,
                    help="split alpha across the planned number of results")
     p.add_argument("--permutation-k", type=int, default=None, metavar="K")
     p.add_argument("--serial-d", type=int, default=None, metavar="D")
@@ -270,11 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="1..30",
                    help="'LO..HI' or comma list (default 1..30)")
     p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", dest="horizon_steps", metavar="STEPS", type=int, default=None)
     p.add_argument("--drift", type=float, default=None)
-    p.add_argument("--vol", type=float, default=None)
-    p.add_argument("--discount", type=float, default=None)
-    p.add_argument("--strike", type=float, default=None)
+    p.add_argument("--vol", dest="volatility", metavar="VOL", type=float, default=None)
+    p.add_argument("--discount", dest="discount_rate", metavar="DISCOUNT", type=float,
+                   default=None)
+    p.add_argument("--strike", dest="strike_ratio", metavar="STRIKE", type=float,
+                   default=None)
 
     p = sub.add_parser("period", parents=[common],
                        help="full-period check for an LCG descriptor")
@@ -304,13 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
 # extra is what the human-readable summary prints from.
 
 
-def _lcg_params(descriptor: str):
+def _lcg_params(descriptor: str, command: str):
     gen = make_generator(descriptor)
     if not isinstance(gen, Lcg):
-        raise ValueError(
-            "spectral test requires a congruential generator (lcg: descriptor)"
-        )
+        raise ValueError(f"{command} requires a congruential generator (lcg: descriptor)")
     return gen.params
+
+
+def _config(base, args):
+    """``base`` with every field that ``args`` sets (not None) replaced;
+    each option's dest is the name of the field it sets."""
+    return dataclasses.replace(base, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(base)
+        if getattr(args, f.name) is not None
+    })
 
 
 def _run_generate(args):
@@ -325,30 +340,6 @@ def _run_generate(args):
     if args.output:
         files.append((args.output, lambda path, s=smp: save_sample(s, path)))
     return gen.descriptor, config, records, config, files, smp
-
-
-def _battery_config(args) -> BatteryConfig:
-    kwargs = {}
-    if args.tests:
-        kwargs["tests"] = tuple(t.strip() for t in args.tests.split(",") if t.strip())
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-    for flag, key in [
-        ("permutation_k", "permutation_k"),
-        ("serial_d", "serial_d"),
-        ("serial_l", "serial_l"),
-        ("birthday_n", "birthday_n"),
-        ("birthday_k", "birthday_k"),
-        ("tuple_mode", "tuple_mode"),
-        ("levene_groups", "levene_groups"),
-        ("gof_bins", "gof_bins"),
-    ]:
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[key] = value
-    if args.bonferroni:
-        kwargs["bonferroni"] = True
-    return BatteryConfig(**kwargs)
 
 
 def _is_descriptor(src: str) -> bool:
@@ -373,7 +364,7 @@ def _run_test(args):
             if sample.provenance.startswith(_DESCRIPTOR_PREFIXES)
             else None
         )
-    battery = run_battery(sample, _battery_config(args))
+    battery = run_battery(sample, _config(BatteryConfig(), args))
     summary = {
         "n_results": len(battery.results),
         "n_rejections": battery.n_rejections,
@@ -385,7 +376,7 @@ def _run_test(args):
 
 
 def _run_spectral(args):
-    params = _lcg_params(args.descriptor)
+    params = _lcg_params(args.descriptor, "spectral test")
     spectral = spectral_accept(params, d_max=args.dmax)
     summary = {
         "modulus": spectral.modulus,
@@ -405,21 +396,9 @@ def _run_spectral(args):
     return args.descriptor, config, spectral.results, summary, files, spectral
 
 
-def _toy_config(args) -> ToyModelConfig:
-    base = ToyModelConfig()
-    return ToyModelConfig(
-        paths=args.paths if args.paths is not None else base.paths,
-        horizon_steps=args.steps if args.steps is not None else base.horizon_steps,
-        drift=args.drift if args.drift is not None else base.drift,
-        volatility=args.vol if args.vol is not None else base.volatility,
-        discount_rate=args.discount if args.discount is not None else base.discount_rate,
-        strike_ratio=args.strike if args.strike is not None else base.strike_ratio,
-    )
-
-
 def _run_sweep(args):
     seeds = _parse_seeds(args.seeds)
-    config = _toy_config(args)
+    config = _config(ToyModelConfig(), args)
     sweep = seed_sweep(args.descriptor, seeds, config)
     verdict = "reject" if sweep.seed_effect_flag else "pass"
     records = [
@@ -435,10 +414,7 @@ def _run_sweep(args):
 
 
 def _run_period(args):
-    gen = make_generator(args.descriptor)
-    if not isinstance(gen, Lcg):
-        raise ValueError("period check requires an lcg: descriptor")
-    params = gen.params
+    params = _lcg_params(args.descriptor, "period check")
     predicate = None
     factor_error = None
     try:

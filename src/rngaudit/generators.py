@@ -3,14 +3,16 @@
 Three families are provided: the plain linear congruential generator
 (LCG), a combined three-stream LCG built on the AS 183 constants of
 Wichmann and Hill (1982), and a 32-bit Mersenne Twister used as the
-reference generator.  Scalar draws step the recurrence on Python
-integers, which are arbitrary precision, so ``a * state + c`` never
-overflows.  Bulk draws step the first 4096 states the same way and
-then jump each later state ahead from the one 4096 steps before it
+reference generator.  Each family produces its stream in one place, a
+block method: an LCG steps its first 4096 states on Python integers,
+which are arbitrary precision, so ``a * state + c`` never overflows,
+and then jumps each later state ahead from the one 4096 steps before it
 (Knuth, TAOCP vol. 2, 3.2.1): in uint64 arrays for moduli up to 2**32,
 where the jump cannot overflow, and in arrays of Python integers above
-that.  Either way a uniform is one exact integer state divided by the
-modulus, correctly rounded, and always lies in [0, 1).
+that.  A uniform is one exact integer state divided by the modulus,
+correctly rounded, and always lies in [0, 1).  Bulk and scalar draws
+are both served from one buffer of block values in the base class, so
+any interleaving of them reads the same stream.
 
 The module also owns period analysis for the LCG family -- a
 full-period test based on the classical increment/multiplier
@@ -21,6 +23,7 @@ the command line tools.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -97,6 +100,7 @@ class LcgParams:
 
 # Bulk LCG draws step this many states in Python integers; every later
 # state is the one this many steps before it, jumped ahead in one array op.
+# A scalar draw on an empty buffer refills it with a block of this size.
 _JUMP = 1 << 12
 
 
@@ -142,20 +146,44 @@ def _uniforms(states: np.ndarray, m: int) -> np.ndarray:
 
 
 class UniformGenerator:
-    """Base class for a deterministic stream of uniforms in [0, 1)."""
+    """Base class for a deterministic stream of uniforms in [0, 1).
+
+    A family supplies only ``_block(n)``: at least n further uniforms of
+    its stream, in order, for n >= 1.  ``generate`` and ``next_uniform``
+    both hand out values from one buffer, which keeps whatever a block
+    gave beyond the request, so any interleaving of the two reads the one
+    stream.  The family's own state therefore runs ahead of the values
+    handed out.
+    """
+
+    # the buffer: values drawn but not yet handed out, in stream order.  The
+    # shared empty iterator is only ever replaced per instance, never advanced.
+    _pending = iter(())
 
     @property
     def descriptor(self) -> str:
         raise NotImplementedError
 
     def next_uniform(self) -> float:
-        raise NotImplementedError
+        """The next uniform of the stream, as a Python float."""
+        try:
+            return next(self._pending)
+        except StopIteration:
+            # _block directly, not generate: scalar refills are no bulk draw
+            self._pending = iter(self._block(_JUMP).tolist())
+            return next(self._pending)
 
     def generate(self, n: int) -> np.ndarray:
         """The next n uniforms of the stream, the same as n ``next_uniform``."""
         if n < 0:
             raise ValueError("count must be nonnegative")
-        return self._block(n)
+        head = np.fromiter(itertools.islice(self._pending, n), dtype=np.float64)
+        if head.size == n:
+            return head
+        need = n - head.size
+        block = self._block(need)
+        self._pending = iter(block[need:].tolist())
+        return np.concatenate((head, block[:need])) if head.size else block[:need]
 
     def _block(self, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -169,21 +197,16 @@ class Lcg(UniformGenerator):
 
     def __init__(self, params: LcgParams):
         self.params = params
-        self.state = params.seed
+        self._state = params.seed
 
     @property
     def descriptor(self) -> str:
         return self.params.descriptor
 
-    def next_uniform(self) -> float:
-        p = self.params
-        self.state = (p.multiplier * self.state + p.increment) % p.modulus
-        return self.state / p.modulus
-
     def _block(self, n: int) -> np.ndarray:
         p = self.params
-        states, self.state = _lcg_states(p.modulus, p.multiplier, p.increment,
-                                         self.state, n)
+        states, self._state = _lcg_states(p.modulus, p.multiplier, p.increment,
+                                          self._state, n)
         return _uniforms(states, p.modulus)
 
 
@@ -209,7 +232,7 @@ class WichmannHill(UniformGenerator):
             # zero is absorbing for a zero-increment component
             if not 0 < s < m:
                 raise ValueError("component seed must satisfy 0 < seed < m")
-        self.states = seeds
+        self._states = seeds
         self._seeds = seeds
 
     @property
@@ -217,23 +240,14 @@ class WichmannHill(UniformGenerator):
         s1, s2, s3 = self._seeds
         return f"wh:seed1={s1},seed2={s2},seed3={s3}"
 
-    def next_uniform(self) -> float:
-        # the AS 183 constants, inlined: this runs once per scalar draw
-        s1, s2, s3 = self.states
-        s1 = (171 * s1) % 30269
-        s2 = (172 * s2) % 30307
-        s3 = (170 * s3) % 30323
-        self.states = (s1, s2, s3)
-        return (s1 / 30269 + s2 / 30307 + s3 / 30323) % 1.0
-
     def _block(self, n: int) -> np.ndarray:
         total = np.zeros(n)
         states = []
-        for m, a, s in zip(WH_AS183_MODULI, WH_AS183_MULTIPLIERS, self.states):
+        for m, a, s in zip(WH_AS183_MODULI, WH_AS183_MULTIPLIERS, self._states):
             component, last = _lcg_states(m, a, 0, s, n)
             total += _uniforms(component, m)  # 0.0 + u1, then + u2, then + u3
             states.append(last)
-        self.states = tuple(states)
+        self._states = tuple(states)
         return np.remainder(total, 1.0, out=total)
 
 
@@ -267,8 +281,6 @@ class MT19937(UniformGenerator):
             prev = state[i - 1]
             state[i] = (_MT_SEED_MULT * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF
         self._state = np.array(state, dtype=np.uint32)
-        self._cache = np.empty(0, dtype=np.uint32)
-        self._pos = 0
 
     @property
     def descriptor(self) -> str:
@@ -309,38 +321,9 @@ class MT19937(UniformGenerator):
         w ^= w >> np.uint32(18)
         return w
 
-    def next_word(self) -> int:
-        if self._pos >= self._cache.size:
-            self._cache = self._next_block()
-            self._pos = 0
-        word = int(self._cache[self._pos])
-        self._pos += 1
-        return word
-
-    def next_uniform(self) -> float:
-        return self.next_word() / _TWO32
-
     def _block(self, n: int) -> np.ndarray:
-        parts = []
-        need = n
-        avail = self._cache.size - self._pos
-        if avail > 0 and need > 0:
-            take = min(need, avail)
-            parts.append(self._cache[self._pos : self._pos + take])
-            self._pos += take
-            need -= take
-        while need > 0:
-            block = self._next_block()
-            take = min(need, _MT_N)
-            parts.append(block[:take])
-            self._cache = block
-            self._pos = take
-            need -= take
-        if parts:
-            words = np.concatenate(parts)
-        else:
-            words = np.empty(0, dtype=np.uint32)
-        return words.astype(np.float64) / _TWO32
+        """ceil(n / 624) whole twists, as uniforms."""
+        return np.concatenate([self._next_block() for _ in range(-(-n // _MT_N))]) / _TWO32
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,20 @@ class TestBatteryCommand:
         report = _load_report(out)
         assert [r["name"] for r in report["results"]] == ["serial"]
 
+    def test_every_battery_flag_reaches_the_config(self, tmp_path):
+        out = tmp_path / "r.json"
+        main(["test", "mt:seed=1", "-n", "20000", "--tests", "uniformity, serial",
+              "--alpha", "0.05", "--permutation-k", "4", "--serial-d", "4",
+              "--serial-l", "3", "--birthday-n", "256", "--birthday-k", "65536",
+              "--tuple-mode", "overlapping", "--levene-groups", "5", "--gof-bins", "50",
+              "--bonferroni", "--quiet", "--json", str(out)])
+        assert _load_report(out)["manifest"]["config"] == {
+            "tests": ["uniformity", "serial"], "alpha": 0.05, "permutation_k": 4,
+            "serial_d": 4, "serial_l": 3, "birthday_n": 256, "birthday_k": 65536,
+            "tuple_mode": "overlapping", "levene_groups": 5, "gof_bins": 50,
+            "bonferroni": True,
+        }
+
     def test_invalid_battery_flag_is_usage_error(self, capsys):
         assert main(["test", "mt:", "-n", "20000", "--serial-d", "1",
                      "--quiet"]) == EXIT_USAGE
@@ -305,6 +319,16 @@ class TestSweepCommand:
 
     def test_single_seed_is_usage_error(self, capsys):
         assert main(["sweep", "mt:", "--seeds", "5", "--quiet"]) == EXIT_USAGE
+
+    def test_every_model_flag_reaches_the_config(self, tmp_path):
+        out = tmp_path / "r.json"
+        main(["sweep", "mt:", "--seeds", "1,2", "--paths", "20", "--steps", "3",
+              "--drift", "0.001", "--vol", "0.02", "--discount", "0.003",
+              "--strike", "0.9", "--quiet", "--json", str(out)])
+        assert _load_report(out)["manifest"]["config"] == {
+            "paths": 20, "horizon_steps": 3, "drift": 0.001, "volatility": 0.02,
+            "discount_rate": 0.003, "strike_ratio": 0.9,
+        }
 
 
 # ---------------------------------------------------------------------------

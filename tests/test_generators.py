@@ -23,10 +23,13 @@ from rngaudit import (
 from rngaudit.generators import _JUMP, WH_AS183_MODULI, WH_AS183_MULTIPLIERS
 from oracles import ScalarMT, dict_period, first_repeat_step, lcg_sequence
 
-# Block sizes around the jump-ahead edges of bulk generation.
-BLOCK_EDGES = (0, 1, _JUMP - 1, _JUMP, _JUMP + 1, 3 * _JUMP + 5)
-# Interleavings of scalar draws ("u") and bulk draws of each edge size.
-DRAWS = st.lists(st.sampled_from(("u", *BLOCK_EDGES)), min_size=1, max_size=4)
+# Block sizes around the jump-ahead edges of bulk generation (which are
+# also the scalar refill size) and around the 624-word MT twist.
+BLOCK_EDGES = (0, 1, 623, 624, 625, _JUMP - 1, _JUMP, _JUMP + 1, 3 * _JUMP + 5)
+# Runs of scalar draws: one, and one more than a refill holds.
+SCALAR_RUNS = {"u": 1, "u*": _JUMP + 1}
+# Interleavings of scalar runs and bulk draws of each edge size.
+DRAWS = st.lists(st.sampled_from((*SCALAR_RUNS, *BLOCK_EDGES)), min_size=1, max_size=4)
 
 
 def _bits(values):
@@ -37,8 +40,27 @@ def _draw_all(gen, draws):
     """Uniforms from an interleaving of next_uniform() and generate(n)."""
     out = []
     for d in draws:
-        out.extend([gen.next_uniform()] if d == "u" else gen.generate(d).tolist())
+        if d in SCALAR_RUNS:
+            out.extend(gen.next_uniform() for _ in range(SCALAR_RUNS[d]))
+        else:
+            out.extend(gen.generate(d).tolist())
     return out
+
+
+def _wh_sequence(seeds, n):
+    """n Wichmann-Hill uniforms from the component recurrence, summed in order."""
+    states, out = seeds, []
+    for _ in range(n):
+        states = tuple(
+            (a * s) % m for s, a, m in zip(states, WH_AS183_MULTIPLIERS, WH_AS183_MODULI)
+        )
+        out.append(sum(s / m for s, m in zip(states, WH_AS183_MODULI)) % 1.0)
+    return out
+
+
+def _mt_words(values):
+    """MT uniforms back to their 32-bit words (word / 2**32 is exact)."""
+    return (np.asarray(values) * 2**32).astype(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +105,9 @@ class TestLcgParams:
 class TestLcgNext:
     def test_ten_state_generator_cycles_through_four_values(self):
         gen = Lcg(LcgParams(10, 7, 7, 7))
-        seen = []
-        for _ in range(8):
-            u = gen.next_uniform()
-            seen.append((gen.state, u))
-        assert [s for s, _ in seen] == [6, 9, 0, 7, 6, 9, 0, 7]
-        assert [u for _, u in seen] == [0.6, 0.9, 0.0, 0.7, 0.6, 0.9, 0.0, 0.7]
+        seen = [gen.next_uniform() for _ in range(8)]
+        assert lcg_sequence(10, 7, 7, 7, 8) == [6, 9, 0, 7, 6, 9, 0, 7]
+        assert seen == [0.6, 0.9, 0.0, 0.7, 0.6, 0.9, 0.0, 0.7]
 
     @given(
         m=st.integers(2, 10**9),
@@ -97,18 +116,21 @@ class TestLcgNext:
         y=st.integers(0, 10**9),
     )
     def test_state_stays_in_range(self, m, a, c, y):
-        gen = Lcg(LcgParams(m, a % m or 1, c % m, y % m))
-        u = gen.next_uniform()
-        assert 0 <= gen.state < m
+        params = LcgParams(m, a % m or 1, c % m, y % m)
+        u = Lcg(params).next_uniform()
+        (state,) = lcg_sequence(m, params.multiplier, params.increment, params.seed, 1)
         assert 0.0 <= u < 1.0
-        assert u == gen.state / m
+        assert u == state / m
 
     def test_exact_big_integers(self):
         # way past 2**64: must stay exact
         m = 2**97
         gen = Lcg(LcgParams(m, 3**40, 7**30, 12345))
-        gen.next_uniform()
-        assert gen.state == (3**40 * 12345 + 7**30) % m
+        assert gen.next_uniform() == (3**40 * 12345 + 7**30) % m / m
+        # a state rounded anywhere would derail every later value
+        states = lcg_sequence(m, 3**40, 7**30, 12345, 3 * _JUMP)
+        got = [gen.next_uniform() for _ in range(_JUMP)] + gen.generate(2 * _JUMP - 1).tolist()
+        assert _bits(got) == _bits([s / m for s in states[1:]])
 
     def test_stream_matches_reference_recurrence(self):
         p = LcgParams(2**18, 4649, 819, 1)
@@ -116,6 +138,11 @@ class TestLcgNext:
         got = gen.generate(500)
         want = [y / p.modulus for y in lcg_sequence(p.modulus, 4649, 819, 1, 500)]
         assert got.tolist() == want
+
+    def test_block_is_exact_for_lcg_and_wh(self):
+        for gen in (Lcg(LcgParams(2**18, 4649, 819, 1)), WichmannHill(1, 2, 3)):
+            assert [gen._block(n).size for n in (1, 623, 625, _JUMP + 1)] == [
+                1, 623, 625, _JUMP + 1]
 
     @given(m=st.one_of(st.integers(2, 2**32), st.integers(2, 2**97)),
            a=st.integers(1, 2**97), c=st.integers(0, 2**97),
@@ -131,7 +158,6 @@ class TestLcgNext:
         states = lcg_sequence(m, params.multiplier, params.increment, params.seed,
                               len(got))
         assert _bits(got) == _bits([s / m for s in states])
-        assert gen.state == (states[-1] if states else params.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -259,36 +285,17 @@ class TestBruteForcePeriod:
 class TestCombined:
     def test_step_all_components(self):
         wh = WichmannHill(1, 1, 1)
-        u = wh.next_uniform()
-        assert wh.states == (171, 172, 170)
-        assert u == (171 / 30269 + 172 / 30307 + 170 / 30323) % 1.0
-        # every later step against the component recurrence, summed in order
-        states = wh.states
-        for _ in range(1000):
-            states = tuple(
-                (a * s) % m
-                for s, a, m in zip(states, WH_AS183_MULTIPLIERS, WH_AS183_MODULI)
-            )
-            want = sum(s / m for s, m in zip(states, WH_AS183_MODULI)) % 1.0
-            assert wh.next_uniform() == want
-        assert wh.states == states
+        want = _wh_sequence((1, 1, 1), 1001)
+        assert want[0] == (171 / 30269 + 172 / 30307 + 170 / 30323) % 1.0
+        # every step against the component recurrence, summed in order
+        assert [wh.next_uniform() for _ in range(1001)] == want
 
     @given(seeds=st.tuples(st.integers(1, 30268), st.integers(1, 30306),
                            st.integers(1, 30322)), draws=DRAWS)
     @settings(max_examples=20, deadline=None)
     def test_bulk_and_scalar_draws_follow_the_recurrence(self, seeds, draws):
-        wh = WichmannHill(*seeds)
-        got = _draw_all(wh, draws)
-        states, want = seeds, []
-        for _ in got:
-            states = tuple(
-                (a * s) % m
-                for s, a, m in zip(states, WH_AS183_MULTIPLIERS, WH_AS183_MODULI)
-            )
-            s1, s2, s3 = states
-            want.append((s1 / 30269 + s2 / 30307 + s3 / 30323) % 1.0)
-        assert _bits(got) == _bits(want)
-        assert wh.states == states
+        got = _draw_all(WichmannHill(*seeds), draws)
+        assert _bits(got) == _bits(_wh_sequence(seeds, len(got)))
 
     def test_validation(self):
         # each component seed lies in [1, m - 1] for its own modulus
@@ -328,23 +335,36 @@ class TestMT19937:
     def test_words_match_scalar_reference(self):
         for seed in (5489, 0, 97):
             ref = ScalarMT(seed)
-            gen = MT19937(seed)
-            assert [gen.next_word() for _ in range(1300)] == [
+            assert _mt_words(MT19937(seed).generate(1300)) == [
                 ref.next_word() for _ in range(1300)
             ]
 
     def test_golden_ten_thousandth_word(self):
-        gen = MT19937(5489)
+        ref = ScalarMT(5489)
         for _ in range(9999):
-            gen.next_word()
-        assert gen.next_word() == 4123659995
+            ref.next_word()
+        assert ref.next_word() == 4123659995
+        assert _mt_words(MT19937(5489).generate(10_000))[-1] == 4123659995
 
     def test_uniform_scaling(self):
+        ref = ScalarMT(5489)
         gen = MT19937(5489)
-        word_gen = MT19937(5489)
         vals = [gen.next_uniform() for _ in range(100)]
-        words = [word_gen.next_word() for _ in range(100)]
-        assert vals == [w / 2**32 for w in words]
+        assert vals == [ref.next_word() / 2**32 for _ in range(100)]
+        assert all(type(u) is float for u in vals)
+
+    @given(seed=st.integers(0, 2**32 - 1), draws=DRAWS)
+    @example(seed=5489, draws=[623, "u", 625, "u*", 624])
+    @settings(max_examples=20, deadline=None)
+    def test_bulk_and_scalar_draws_follow_the_recurrence(self, seed, draws):
+        got = _draw_all(MT19937(seed), draws)
+        ref = ScalarMT(seed)
+        assert _bits(got) == _bits([ref.next_uniform() for _ in got])
+
+    def test_block_is_whole_twists(self):
+        gen = MT19937(5489)
+        assert [gen._block(n).size for n in (1, 623, 624, 625, _JUMP)] == [
+            624, 624, 624, 1248, 7 * 624]
 
     def test_generate_matches_next_uniform_across_blocks(self):
         g1, g2 = MT19937(7), MT19937(7)
@@ -375,7 +395,7 @@ class TestMakeGenerator:
     def test_mt(self):
         gen = make_generator("mt:seed=5489")
         assert isinstance(gen, MT19937)
-        assert gen.next_word() == MT19937(5489).next_word()
+        assert _mt_words([gen.next_uniform()]) == [ScalarMT(5489).next_word()]
 
     def test_seed_override(self):
         gen = make_generator("lcg:m=100,a=21,c=1,seed=5", seed=42)
