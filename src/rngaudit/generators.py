@@ -4,15 +4,16 @@ Three families are provided: the plain linear congruential generator
 (LCG), a combined three-stream LCG built on the AS 183 constants of
 Wichmann and Hill (1982), and a 32-bit Mersenne Twister used as the
 reference generator.  Each family produces its stream in one place, a
-block method: an LCG steps its first 4096 states on Python integers,
-which are arbitrary precision, so ``a * state + c`` never overflows,
-and then jumps each later state ahead from the one 4096 steps before it
-(Knuth, TAOCP vol. 2, 3.2.1): in uint64 arrays for moduli up to 2**32,
-where the jump cannot overflow, and in arrays of Python integers above
-that.  A uniform is one exact integer state divided by the modulus,
-correctly rounded, and always lies in [0, 1).  Bulk and scalar draws
-are both served from one buffer of block values in the base class, so
-any interleaving of them reads the same stream.
+block method: an LCG steps once from its state, doubles the states it
+has by jumping each ahead from the one 1, 2, 4, ... steps before it, and
+from 4096 states on jumps each later state ahead from the one 4096
+steps before it (Knuth, TAOCP vol. 2, 3.2.1): in uint64 arrays for
+moduli up to 2**32, where the jump cannot overflow, and in arrays of
+Python integers, which are arbitrary precision, above that.  A uniform
+is one exact integer state divided by the modulus, correctly rounded,
+and always lies in [0, 1).  Bulk and scalar draws are both served from
+one buffer of block values in the base class, so any interleaving of
+them reads the same stream.
 
 The module also owns period analysis for the LCG family -- a
 full-period test based on the classical increment/multiplier
@@ -98,9 +99,11 @@ class LcgParams:
         return LcgParams(self.modulus, self.multiplier, self.increment, seed)
 
 
-# Bulk LCG draws step this many states in Python integers; every later
-# state is the one this many steps before it, jumped ahead in one array op.
-# A scalar draw on an empty buffer refills it with a block of this size.
+# The longest jump of a bulk LCG draw: once this many states are filled,
+# every later one is the state this many steps before it, jumped ahead in
+# one array op.  A scalar draw on an empty buffer refills it with a block
+# of this size, and the seed lab simulates paths in chunks of about as
+# many normals.
 _JUMP = 1 << 12
 
 
@@ -118,25 +121,29 @@ def _lcg_states(m: int, a: int, c: int, y: int, n: int) -> tuple[np.ndarray, int
     """The n states after y of y' = (a y + c) mod m, and the last of them
     (y itself when n = 0).
 
-    The array is uint64 for m <= 2**32, where A y + C <= (m-1)**2 + (m-1)
-    < 2**64 is exact, and holds Python integers above that.
+    The first state is one step from y; the states filled so far then
+    double by jumping each ahead d = min(filled, _JUMP) steps from the one
+    d before it, so no array op touches more than _JUMP states.  The array
+    is uint64 for m <= 2**32, where A y + C <= (m-1)**2 + (m-1) < 2**64 is
+    exact, and holds Python integers above that.
     """
     out = np.empty(n, dtype=np.uint64 if m <= 1 << 32 else object)
-    head = []
-    for _ in range(min(n, _JUMP)):
-        y = (a * y + c) % m
-        head.append(y)
-    out[: len(head)] = head
-    if n > _JUMP:
-        big_a, big_c = _jump_constants(m, a, c, _JUMP)
+    if n == 0:
+        return out, y
+    out[0] = (a * y + c) % m
+    start = 1
+    while start < n:
+        d = min(start, _JUMP)
+        big_a, big_c = _jump_constants(m, a, c, d)
         mod = m
         if out.dtype != object:
             big_a, big_c, mod = np.uint64(big_a), np.uint64(big_c), np.uint64(m)
-        for start in range(_JUMP, n, _JUMP):
-            stop = min(start + _JUMP, n)
-            out[start:stop] = (big_a * out[start - _JUMP : stop - _JUMP] + big_c) % mod
-        y = int(out[-1])
-    return out, y
+        end = n if d == _JUMP else min(start + d, n)
+        for lo in range(start, end, d):
+            hi = min(lo + d, end)
+            out[lo:hi] = (big_a * out[lo - d : hi - d] + big_c) % mod
+        start = end
+    return out, int(out[-1])
 
 
 def _uniforms(states: np.ndarray, m: int) -> np.ndarray:

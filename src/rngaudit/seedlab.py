@@ -9,17 +9,22 @@ beyond Monte Carlo noise indicts the generator, not the model.
 
 Normals come from the Box-Muller transform fed by generator uniforms in
 stream order, so the entire simulation is a deterministic function of
-(descriptor, seed, config).
+(descriptor, seed, config).  Paths are simulated a chunk at a time from
+bulk draws of uniforms, but every logarithm, sine, cosine and
+exponential is the math module's (libm's) on one value, and each path
+sums its steps in order, so the estimates are bit for bit those of a
+scalar loop that draws one uniform at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generators import UniformGenerator, make_generator
+from .generators import _JUMP, UniformGenerator, make_generator
 
 __all__ = [
     "ToyModelConfig",
@@ -95,9 +100,18 @@ def uniform_to_gaussian(u1: float, u2: float) -> tuple[float, float]:
 class GaussianStream:
     """Standard normals drawn pairwise from a uniform generator.
 
-    A zero uniform arriving in the u1 slot is skipped (and counted in
+    Uniforms are read in stream order as pairs (u1, u2), and each pair
+    gives r cos(2 pi u2) and then r sin(2 pi u2), r = sqrt(-2 ln u1).  A
+    zero uniform arriving in the u1 slot is skipped (and counted in
     ``zero_skips``) before drawing its replacement; both normals of each
-    pair are consumed before the next pair is drawn.
+    pair are handed out before the next pair is drawn, and a pair's
+    second normal waits for the next call.
+
+    ``normals(n)`` draws the uniforms of all its pairs with one
+    ``generate`` call (and one more for the replacements of any skipped
+    zeros), and applies the libm ``log``, ``cos`` and ``sin`` of the math
+    module to each value, so every normal is bit for bit the one the
+    scalar transform ``uniform_to_gaussian`` gives for its pair.
     """
 
     def __init__(self, generator: UniformGenerator):
@@ -106,32 +120,67 @@ class GaussianStream:
         self._spare: float | None = None
 
     def next_gaussian(self) -> float:
-        if self._spare is not None:
-            z = self._spare
-            self._spare = None
-            return z
-        u1 = self.generator.next_uniform()
-        while u1 == 0.0:
-            self.zero_skips += 1
-            u1 = self.generator.next_uniform()
-        u2 = self.generator.next_uniform()
-        z1, z2 = uniform_to_gaussian(u1, u2)
-        self._spare = z2
-        return z1
+        return float(self.normals(1)[0])
+
+    def normals(self, n: int) -> np.ndarray:
+        """The next n normals of the stream."""
+        out = np.empty(n, dtype=np.float64)
+        done = 0
+        if n and self._spare is not None:
+            out[0], self._spare, done = self._spare, None, 1
+        pairs = -(-(n - done) // 2)
+        if pairs:
+            u1, u2 = self._uniform_pairs(pairs)
+            r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
+            theta = (TWO_PI * u2).tolist()
+            z = np.empty((pairs, 2), dtype=np.float64)
+            z[:, 0] = r * np.fromiter(map(math.cos, theta), np.float64, pairs)
+            z[:, 1] = r * np.fromiter(map(math.sin, theta), np.float64, pairs)
+            z = z.ravel()
+            out[done:] = z[: n - done]
+            if z.size > n - done:
+                self._spare = float(z[-1])
+        return out
+
+    def _uniform_pairs(self, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+        """The u1 and u2 values of the next ``pairs`` pairs.  A zero is kept
+        unless it falls in a u1 slot, and each zero skipped costs one more
+        uniform, exactly as pairwise scalar draws would read the stream."""
+        pieces = []
+        kept = 0
+        while kept < 2 * pairs:
+            u = self.generator.generate(2 * pairs - kept)
+            skipped = []
+            for j in np.flatnonzero(u == 0.0).tolist():
+                if (kept + j - len(skipped)) % 2 == 0:
+                    skipped.append(j)
+            if skipped:
+                u = np.delete(u, skipped)
+                self.zero_skips += len(skipped)
+            pieces.append(u)
+            kept += u.size
+        u = np.concatenate(pieces)
+        return u[0::2], u[1::2]
 
 
 def _simulate_payoffs(stream: GaussianStream, config: ToyModelConfig, paths: int) -> np.ndarray:
-    """Undiscounted guarantee payoffs of ``paths`` fresh paths, in order."""
+    """Undiscounted guarantee payoffs of ``paths`` fresh paths, in order.
+
+    Paths are simulated in chunks of about _JUMP normals.  The cumulative
+    sum along a path adds its steps one by one, in order, as a scalar loop
+    would, and the exponential is libm's, so each payoff is the scalar one.
+    """
     log_drift = config.drift - 0.5 * config.volatility**2
     vol = config.volatility
     steps = config.horizon_steps
-    strike = config.strike_ratio
+    chunk = max(1, _JUMP // steps)
     out = np.empty(paths, dtype=np.float64)
-    for i in range(paths):
-        log_s = 0.0
-        for _ in range(steps):
-            log_s += log_drift + vol * stream.next_gaussian()
-        out[i] = max(strike - math.exp(log_s), 0.0)
+    for start in range(0, paths, chunk):
+        k = min(chunk, paths - start)
+        z = stream.normals(k * steps).reshape(k, steps)
+        log_s = np.cumsum(log_drift + vol * z, axis=1)[:, -1]
+        terminal = np.fromiter(map(math.exp, log_s.tolist()), np.float64, k)
+        out[start : start + k] = np.maximum(config.strike_ratio - terminal, 0.0)
     return out
 
 
@@ -178,21 +227,20 @@ class SweepReport:
     def __post_init__(self):
         est = np.asarray(self.estimates)
         se = np.asarray(self.standard_errors)
-        n = est.size
-        best = (0.0, (self.seeds[0], self.seeds[0]))
-        flag = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                d = abs(self.delta_pct[i, j])
-                if d > best[0]:
-                    best = (d, (self.seeds[i], self.seeds[j]))
-                if abs(est[i] - est[j]) > 3.0 * math.hypot(se[i], se[j]):
-                    flag = True
-        self.max_abs_relative_delta = float(best[0])
-        self.max_pair = best[1]
-        self.seed_effect_flag = flag
+        off_diagonal = ~np.eye(est.size, dtype=bool)
+        # the first largest |delta| off the diagonal, row by row; when none
+        # is positive, (0, 0) names the first seed twice
+        d = np.abs(self.delta_pct)
+        d = np.where(off_diagonal & (d > 0.0), d, 0.0)
+        i, j = divmod(int(np.argmax(d)), est.size)
+        self.max_abs_relative_delta = float(d[i, j])
+        self.max_pair = (self.seeds[i], self.seeds[j])
+        # math.hypot of every ordered pair: np.hypot can differ from it in the last bit
+        pairs = itertools.product(se.tolist(), repeat=2)
+        pooled = np.fromiter(itertools.starmap(math.hypot, pairs), np.float64, est.size**2)
+        spread = np.abs(est[:, None] - est[None, :]) > 3.0 * pooled.reshape(d.shape)
+        # a seed never differs from itself, so the diagonal cannot trip the flag
+        self.seed_effect_flag = bool(np.any(spread))
         rel_se = float(np.mean(se / np.abs(est))) * 100 if np.all(est != 0) else float("nan")
         self.sample_size_note = (
             f"{self.config.paths} paths per seed; mean Monte Carlo error "
@@ -258,15 +306,18 @@ def seed_sweep(
         est, se = mc_estimate(descriptor, seed, config)
         estimates.append(est)
         ses.append(se)
-    est = np.asarray(estimates)
-    n = est.size
-    delta = np.zeros((n, n))
-    for j in range(n):
-        if est[j] != 0.0:
-            delta[:, j] = (est - est[j]) / est[j] * 100.0
-        else:
-            delta[:, j] = np.where(est == 0.0, 0.0, np.inf)
-    return SweepReport(descriptor, config, seeds, estimates, ses, delta)
+    return SweepReport(descriptor, config, seeds, estimates, ses, _delta_pct(estimates))
+
+
+def _delta_pct(estimates) -> np.ndarray:
+    """delta[i, j] = (estimate_i - estimate_j) / estimate_j in percent; the
+    column of a zero estimate_j holds 0 where estimate_i is zero too, else inf."""
+    est = np.asarray(estimates, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = (est[:, None] - est[None, :]) / est[None, :] * 100.0
+    zero = est == 0.0
+    delta[:, zero] = np.where(zero, 0.0, np.inf)[:, None]
+    return delta
 
 
 def convergence_report(

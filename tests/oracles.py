@@ -229,3 +229,77 @@ def fraction_lll_reduce(basis):
             mu, bstar_sq = fraction_gso(b)
             k = max(k - 1, 1)
     return b
+
+
+class ScalarGaussianStream:
+    """Box-Muller one pair at a time from scalar draws: a u1 of exactly 0.0
+    is skipped and counted, and the pair's second normal waits for the
+    next call."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.zero_skips = 0
+        self._spare = None
+
+    def next_gaussian(self):
+        if self._spare is not None:
+            z = self._spare
+            self._spare = None
+            return z
+        u1 = self.generator.next_uniform()
+        while u1 == 0.0:
+            self.zero_skips += 1
+            u1 = self.generator.next_uniform()
+        u2 = self.generator.next_uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self._spare = r * math.sin(theta)
+        return r * math.cos(theta)
+
+
+def scalar_payoffs(stream, config, paths):
+    """Undiscounted guarantee payoffs of ``paths`` paths, one step at a time."""
+    log_drift = config.drift - 0.5 * config.volatility**2
+    vol = config.volatility
+    out = np.empty(paths, dtype=np.float64)
+    for i in range(paths):
+        log_s = 0.0
+        for _ in range(config.horizon_steps):
+            log_s += log_drift + vol * stream.next_gaussian()
+        out[i] = max(config.strike_ratio - math.exp(log_s), 0.0)
+    return out
+
+
+def delta_table_loop(estimates):
+    """Relative deltas in percent, one column at a time; the column of a
+    zero estimate holds 0 against other zeros and inf elsewhere."""
+    est = np.asarray(estimates)
+    n = est.size
+    delta = np.zeros((n, n))
+    for j in range(n):
+        if est[j] != 0.0:
+            delta[:, j] = (est - est[j]) / est[j] * 100.0
+        else:
+            delta[:, j] = np.where(est == 0.0, 0.0, np.inf)
+    return delta
+
+
+def sweep_pairs_loop(seeds, estimates, standard_errors, delta):
+    """(largest |delta| off the diagonal, its seed pair, flag) by visiting
+    every ordered pair: the first strict maximum wins, and the flag trips
+    when a pair differs by more than 3 pooled standard errors."""
+    est = np.asarray(estimates)
+    se = np.asarray(standard_errors)
+    n = est.size
+    best = (0.0, (seeds[0], seeds[0]))
+    flag = False
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            d = abs(delta[i, j])
+            if d > best[0]:
+                best = (d, (seeds[i], seeds[j]))
+            if abs(est[i] - est[j]) > 3.0 * math.hypot(se[i], se[j]):
+                flag = True
+    return float(best[0]), best[1], flag

@@ -20,7 +20,7 @@ from rngaudit import (
     save_sample,
     load_sample,
 )
-from rngaudit.generators import _JUMP, WH_AS183_MODULI, WH_AS183_MULTIPLIERS
+from rngaudit.generators import _JUMP, WH_AS183_MODULI, WH_AS183_MULTIPLIERS, _lcg_states
 from oracles import ScalarMT, dict_period, first_repeat_step, lcg_sequence
 
 # Block sizes around the jump-ahead edges of bulk generation (which are
@@ -158,6 +158,62 @@ class TestLcgNext:
         states = lcg_sequence(m, params.multiplier, params.increment, params.seed,
                               len(got))
         assert _bits(got) == _bits([s / m for s in states])
+
+
+# Block sizes around every doubling of the fill, and past its longest jump.
+FILL_SIZES = sorted({1, 2, 3, 3 * _JUMP + 5} | {2**j + e for j in range(2, 14) for e in (-1, 0, 1)})
+# (m, a, c, seed) from a 10-state toy to moduli far above 2**64
+FILL_PARAMS = [
+    (10, 7, 7, 7),
+    (2**18, 4649, 819, 1),
+    (2**31 - 1, 16807, 0, 1),
+    (2**32, 1664525, 1013904223, 2**32 - 1),
+    (2**32 + 1, 3**20, 2**32, 2**32),
+    (2**48, 25214903917, 11, 12345),
+    (2**97, 3**40, 7**30, 12345),
+]
+
+
+class TestDoublingFill:
+    @pytest.mark.parametrize("m,a,c,seed", FILL_PARAMS, ids=lambda v: str(v))
+    def test_states_and_uniforms_follow_the_recurrence(self, m, a, c, seed):
+        want = lcg_sequence(m, a, c, seed, max(FILL_SIZES) + 1)
+        for n in FILL_SIZES:
+            states, last = _lcg_states(m, a, c, seed, n)
+            assert [int(s) for s in states] == want[:n]
+            assert last == want[n - 1]
+            gen = Lcg(LcgParams(m, a, c, seed))
+            assert _bits(gen.generate(n)) == _bits([s / m for s in want[:n]])
+            # the generator's own state is the last one: the stream continues
+            assert _bits(gen.generate(1)) == _bits([want[n] / m])
+
+    def test_empty_fill_keeps_the_state(self):
+        states, last = _lcg_states(2**18, 4649, 819, 5, 0)
+        assert states.size == 0 and last == 5
+
+    def test_wichmann_hill(self):
+        seeds = (1, 2, 3)
+        want = _wh_sequence(seeds, max(FILL_SIZES) + 1)
+        for n in FILL_SIZES:
+            gen = WichmannHill(*seeds)
+            assert _bits(gen.generate(n)) == _bits(want[:n])
+            assert _bits(gen.generate(1)) == _bits(want[n : n + 1])
+
+    def test_bulk_draw_holds_no_temporary_above_a_jump(self):
+        # the states and their uniforms take 8n bytes each; any temporary of
+        # more than _JUMP values would show on top of them
+        n = 10**6
+        gen = make_generator("lcg:m=2147483647,a=16807,c=0,seed=1")
+        peaks = []
+        for draw in (lambda: _lcg_states(2**31 - 1, 16807, 0, 1, n), lambda: gen.generate(n)):
+            tracemalloc.start()
+            try:
+                draw()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 8 * n + 16 * 8 * _JUMP
+        assert peaks[1] <= 2 * 8 * n + 16 * 8 * _JUMP
 
 
 # ---------------------------------------------------------------------------
