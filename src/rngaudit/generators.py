@@ -102,8 +102,7 @@ class LcgParams:
 # The longest jump of a bulk LCG draw: once this many states are filled,
 # every later one is the state this many steps before it, jumped ahead in
 # one array op.  A scalar draw on an empty buffer refills it with a block
-# of this size, and the seed lab simulates paths in chunks of about as
-# many normals.
+# of this size.
 _JUMP = 1 << 12
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generators import _JUMP, UniformGenerator, make_generator
+from .generators import UniformGenerator, make_generator
 
 __all__ = [
     "ToyModelConfig",
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Paths are simulated in chunks of about this many normals: enough that the
+# per-chunk overhead is small, few enough that memory stays flat in the path
+# count.
+_CHUNK_NORMALS = 4096
 
 
 @dataclass(frozen=True)
@@ -108,10 +113,11 @@ class GaussianStream:
     second normal waits for the next call.
 
     ``normals(n)`` draws the uniforms of all its pairs with one
-    ``generate`` call (and one more for the replacements of any skipped
-    zeros), and applies the libm ``log``, ``cos`` and ``sin`` of the math
-    module to each value, so every normal is bit for bit the one the
-    scalar transform ``uniform_to_gaussian`` gives for its pair.
+    ``generate`` call; each zero it skips is replaced by drawing more
+    uniforms in further ``generate`` calls, until every pair is filled.
+    It applies the libm ``log``, ``cos`` and ``sin`` of the math module to
+    each value, so every normal is bit for bit the one the scalar
+    transform ``uniform_to_gaussian`` gives for its pair.
     """
 
     def __init__(self, generator: UniformGenerator):
@@ -166,14 +172,14 @@ class GaussianStream:
 def _simulate_payoffs(stream: GaussianStream, config: ToyModelConfig, paths: int) -> np.ndarray:
     """Undiscounted guarantee payoffs of ``paths`` fresh paths, in order.
 
-    Paths are simulated in chunks of about _JUMP normals.  The cumulative
+    Paths are simulated in chunks of about _CHUNK_NORMALS normals.  The cumulative
     sum along a path adds its steps one by one, in order, as a scalar loop
     would, and the exponential is libm's, so each payoff is the scalar one.
     """
     log_drift = config.drift - 0.5 * config.volatility**2
     vol = config.volatility
     steps = config.horizon_steps
-    chunk = max(1, _JUMP // steps)
+    chunk = max(1, _CHUNK_NORMALS // steps)
     out = np.empty(paths, dtype=np.float64)
     for start in range(0, paths, chunk):
         k = min(chunk, paths - start)
@@ -227,20 +233,31 @@ class SweepReport:
     def __post_init__(self):
         est = np.asarray(self.estimates)
         se = np.asarray(self.standard_errors)
-        off_diagonal = ~np.eye(est.size, dtype=bool)
-        # the first largest |delta| off the diagonal, row by row; when none
-        # is positive, (0, 0) names the first seed twice
-        d = np.abs(self.delta_pct)
-        d = np.where(off_diagonal & (d > 0.0), d, 0.0)
-        i, j = divmod(int(np.argmax(d)), est.size)
-        self.max_abs_relative_delta = float(d[i, j])
-        self.max_pair = (self.seeds[i], self.seeds[j])
-        # math.hypot of every ordered pair: np.hypot can differ from it in the last bit
-        pairs = itertools.product(se.tolist(), repeat=2)
-        pooled = np.fromiter(itertools.starmap(math.hypot, pairs), np.float64, est.size**2)
-        spread = np.abs(est[:, None] - est[None, :]) > 3.0 * pooled.reshape(d.shape)
-        # a seed never differs from itself, so the diagonal cannot trip the flag
-        self.seed_effect_flag = bool(np.any(spread))
+        ses = se.tolist()
+        best, (bi, bj) = 0.0, (0, 0)
+        flag = False
+        # one row at a time, so nothing beyond a row of the table is allocated
+        for i, se_i in enumerate(ses):
+            # the first largest |delta| off the diagonal, row by row; nan is
+            # never a maximum, and when none is positive (0, 0) names the
+            # first seed twice
+            d = np.abs(self.delta_pct[i])
+            d[i] = 0.0
+            d = np.where(d > 0.0, d, 0.0)
+            j = int(np.argmax(d))
+            if d[j] > best:
+                best, (bi, bj) = float(d[j]), (i, j)
+            if not flag:
+                # math.hypot per ordered pair, as the pair loop did: np.hypot
+                # can differ from it in the last bit, and nothing guarantees
+                # hypot(a, b) == hypot(b, a) bit for bit.  A seed never
+                # differs from itself, so the diagonal cannot trip the flag.
+                pooled = map(math.hypot, itertools.repeat(se_i), ses)
+                pooled = np.fromiter(pooled, np.float64, len(ses))
+                flag = bool(np.any(np.abs(est[i] - est) > 3.0 * pooled))
+        self.max_abs_relative_delta = best
+        self.max_pair = (self.seeds[bi], self.seeds[bj])
+        self.seed_effect_flag = flag
         rel_se = float(np.mean(se / np.abs(est))) * 100 if np.all(est != 0) else float("nan")
         self.sample_size_note = (
             f"{self.config.paths} paths per seed; mean Monte Carlo error "
@@ -313,8 +330,11 @@ def _delta_pct(estimates) -> np.ndarray:
     """delta[i, j] = (estimate_i - estimate_j) / estimate_j in percent; the
     column of a zero estimate_j holds 0 where estimate_i is zero too, else inf."""
     est = np.asarray(estimates, dtype=np.float64)
+    # in place, so the table is the only n x n array
+    delta = est[:, None] - est[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = (est[:, None] - est[None, :]) / est[None, :] * 100.0
+        delta /= est
+    delta *= 100.0
     zero = est == 0.0
     delta[:, zero] = np.where(zero, 0.0, np.inf)[:, None]
     return delta

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from rngaudit.seedlab import (
     GaussianStream,
     SweepReport,
     ToyModelConfig,
+    _CHUNK_NORMALS,
     _delta_pct,
     convergence_report,
     mc_estimate,
@@ -286,9 +288,9 @@ class TestMcEstimate:
 
     @pytest.mark.parametrize("descriptor,seed", [("mt:", 3), (SHORT_LCG, 2), ("wh:", 4),
                                                  (ZERO_SKIP_LCG, 7), (ODD_CYCLE_LCG, 1)])
-    @pytest.mark.parametrize("steps", [1, 7, 81, _JUMP + 3])
+    @pytest.mark.parametrize("steps", [1, 7, 81, _CHUNK_NORMALS + 3])
     def test_payoffs_match_the_scalar_loop(self, descriptor, seed, steps):
-        cfg = ToyModelConfig(paths=3 * max(1, _JUMP // steps) + 1, horizon_steps=steps)
+        cfg = ToyModelConfig(paths=3 * max(1, _CHUNK_NORMALS // steps) + 1, horizon_steps=steps)
         want = scalar_payoffs(ScalarGaussianStream(make_generator(descriptor, seed=seed)),
                               cfg, cfg.paths)
         got = mc_estimate(descriptor, seed, cfg)
@@ -429,6 +431,28 @@ class TestSweepTableAgainstLoops:
         rep = SweepReport("x:", SMALL, seeds, estimates, ses, delta)
         want = sweep_pairs_loop(seeds, estimates, ses, delta)
         assert (rep.max_abs_relative_delta, rep.max_pair, rep.seed_effect_flag) == want
+
+    def test_table_is_the_only_square_array(self):
+        # the delta table is n x n; building it and summarising it must not
+        # hold a second array of that size, as the column and pair loops did
+        # not.  256 KB leaves room for numpy's fixed ufunc buffers.
+        n = 400
+        rng = np.random.default_rng(3)
+        estimates = (0.02 + 1e-3 * rng.standard_normal(n)).tolist()
+        ses = (1e-4 * (1.0 + rng.random(n))).tolist()
+        square = 8 * n * n
+        tracemalloc.start()
+        try:
+            delta = _delta_pct(estimates)
+            table_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            SweepReport("x:", SMALL, list(range(n)), estimates, ses, delta)
+            report_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert table_peak < square + 256 * 1024
+        assert report_peak < 256 * 1024
 
 
 # ---------------------------------------------------------------------------
