@@ -23,20 +23,21 @@ from rngaudit.spectral import (
     spectral_accept,
     spectral_accuracy_sq,
 )
+from rngaudit.stats import summary_verdict
 
 GOOD_DESCRIPTOR = "lcg:m=2147483647,a=742938285,c=0,seed=1"
 
 
 def run_one(descriptor: str, out_dir: pathlib.Path, n_values: int) -> None:
     gen = make_generator(descriptor)
-    report = spectral_accept(gen.params, d_max=6)
+    records = spectral_accept(gen.params, d_max=6)
     print(f"\n{descriptor}")
     print(f"{'d':>3s} {'accuracy':>14s} {'threshold':>12s}  verdict")
-    for d, r in zip(report.dims, report.results):
+    for d, r in enumerate(records, 2):
         ok = "pass" if r.verdict == "pass" else "REJECT"
         print(f"{d:>3d} {r.statistic:>14.2f} "
               f"{r.detail['threshold']:>12.2f}  {ok}")
-    print(f"overall: {report.verdict}")
+    print(f"overall: {summary_verdict(records, 'accept')}")
 
     sample = gen.sample(min(gen.params.modulus, n_values))
     out_dir.mkdir(parents=True, exist_ok=True)

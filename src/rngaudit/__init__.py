@@ -23,7 +23,6 @@ from .generators import (
 )
 from .battery import BatteryConfig, BatteryReport, run_battery
 from .spectral import (
-    SpectralReport,
     spectral_accuracy,
     spectral_accept,
     acceptance_threshold,
@@ -47,7 +46,6 @@ __all__ = [
     "BatteryConfig",
     "BatteryReport",
     "run_battery",
-    "SpectralReport",
     "spectral_accuracy",
     "spectral_accept",
     "acceptance_threshold",

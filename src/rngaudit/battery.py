@@ -90,21 +90,6 @@ class BatteryConfig:
         if self.gof_bins < 2:
             raise ValueError("gof_bins must be >= 2")
 
-    def to_dict(self) -> dict:
-        return {
-            "tests": list(self.tests),
-            "alpha": self.alpha,
-            "permutation_k": self.permutation_k,
-            "serial_d": self.serial_d,
-            "serial_l": self.serial_l,
-            "birthday_n": self.birthday_n,
-            "birthday_k": self.birthday_k,
-            "tuple_mode": self.tuple_mode,
-            "levene_groups": self.levene_groups,
-            "gof_bins": self.gof_bins,
-            "bonferroni": self.bonferroni,
-        }
-
 
 @dataclass
 class BatteryReport:
@@ -115,8 +100,6 @@ class BatteryReport:
     """
 
     results: list[TestResult]
-    provenance: str
-    config: BatteryConfig
     n_rejections: int = field(init=False)
 
     def __post_init__(self):
@@ -448,5 +431,4 @@ def run_battery(sample, config: BatteryConfig | None = None) -> BatteryReport:
             errors.append(TestResult(name, None, None, None, {"error": str(exc)}, "error"))
             continue
         results.extend(out if isinstance(out, list) else [out])
-    provenance = getattr(sample, "provenance", "external")
-    return BatteryReport(results + errors, provenance, config)
+    return BatteryReport(results + errors)

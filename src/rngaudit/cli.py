@@ -50,12 +50,14 @@ from .generators import (
 from .seedlab import ToyModelConfig, seed_sweep
 from .spectral import (
     MAX_DIM,
+    SVG_MAX_POINTS,
     export_cloud_csv,
     export_cloud_svg,
     point_cloud,
     spectral_accept,
+    thin,
 )
-from .stats import VERDICTS, TestResult
+from .stats import VERDICTS, TestResult, summary_verdict
 
 __all__ = [
     "REPORT_SCHEMA_ID",
@@ -129,6 +131,8 @@ REPORT_SCHEMA = {
 
 # Small-period generator whose lattice artifacts the figure exports show.
 FIGURE_DESCRIPTOR = "lcg:m=262144,a=4649,c=819,seed=1"
+# File stems of the figure exports, by tuple dimension.
+_CLOUD_NAMES = {2: "pairs", 3: "triples"}
 
 EXIT_PASS = 0
 EXIT_REJECT = 1
@@ -364,7 +368,8 @@ def _run_test(args):
             if sample.provenance.startswith(_DESCRIPTOR_PREFIXES)
             else None
         )
-    battery = run_battery(sample, _config(BatteryConfig(), args))
+    config = _config(BatteryConfig(), args)
+    battery = run_battery(sample, config)
     summary = {
         "n_results": len(battery.results),
         "n_rejections": battery.n_rejections,
@@ -372,28 +377,41 @@ def _run_test(args):
         "sample_size": len(sample.values),
         "source": src,
     }
-    return descriptor, battery.config.to_dict(), battery.results, summary, [], battery
+    return descriptor, dataclasses.asdict(config), battery.results, summary, [], battery
+
+
+def _cloud_jobs(gen, dims, path):
+    """Sample ``gen``, build its point clouds of dimensions ``dims`` and
+    queue their exports: (path, write, rows) for each CSV, and for the
+    SVG of the pairs, whose rows are the points it draws.  ``path(d,
+    ext)`` names each file.  Returns the sample size and the jobs."""
+    n_values = min(gen.params.modulus, 1 << 18) if isinstance(gen, Lcg) else 1 << 17
+    sample = gen.sample(n_values)
+    jobs = []
+    for d in dims:
+        cloud = point_cloud(sample, d)
+        jobs.append((path(d, "csv"), lambda p, c=cloud: export_cloud_csv(c, p), len(cloud)))
+        if d == 2:
+            jobs.append((path(d, "svg"), lambda p, c=cloud: export_cloud_svg(c, p),
+                         len(thin(cloud.points, SVG_MAX_POINTS))))
+    return n_values, jobs
 
 
 def _run_spectral(args):
     params = _lcg_params(args.descriptor, "spectral test")
-    spectral = spectral_accept(params, d_max=args.dmax)
+    records = spectral_accept(params, d_max=args.dmax)
     summary = {
-        "modulus": spectral.modulus,
-        "multiplier": spectral.multiplier,
-        "dims": list(spectral.dims),
+        "modulus": params.modulus,
+        "multiplier": params.multiplier,
+        "dims": list(range(2, args.dmax + 1)),
     }
     files = []
     if args.cloud:
-        n_values = min(params.modulus, 1 << 18)
-        cloud = point_cloud(make_generator(args.descriptor).sample(n_values), args.cloud)
-        csv_path = f"{args.cloud_out}-d{args.cloud}.csv"
-        files.append((csv_path, lambda p, c=cloud: export_cloud_csv(c, p)))
-        if args.cloud == 2:
-            svg_path = f"{args.cloud_out}-d2.svg"
-            files.append((svg_path, lambda p, c=cloud: export_cloud_svg(c, p)))
+        _, jobs = _cloud_jobs(make_generator(args.descriptor), [args.cloud],
+                              lambda d, ext: f"{args.cloud_out}-d{d}.{ext}")
+        files = [(p, write) for p, write, _ in jobs]
     config = {"dmax": args.dmax, "cloud": args.cloud}
-    return args.descriptor, config, spectral.results, summary, files, spectral
+    return args.descriptor, config, records, summary, files, None
 
 
 def _run_sweep(args):
@@ -410,7 +428,7 @@ def _run_sweep(args):
         "max_pair": list(sweep.max_pair),
         "n_seeds": len(seeds),
     }
-    return args.descriptor, config.to_dict(), records, summary, [], sweep
+    return args.descriptor, dataclasses.asdict(config), records, summary, [], sweep
 
 
 def _run_period(args):
@@ -450,21 +468,9 @@ def _run_period(args):
 
 def _run_figures(args):
     gen = make_generator(args.descriptor)
-    if isinstance(gen, Lcg):
-        n_values = min(gen.params.modulus, 1 << 18)
-    else:
-        n_values = 1 << 17
-    sample = gen.sample(n_values)
-    pairs = point_cloud(sample, 2)
-    triples = point_cloud(sample, 3)
     out = args.out_dir.rstrip("/") or "."
-    jobs = [
-        (f"{out}/pairs.csv", lambda p, c=pairs: export_cloud_csv(c, p), len(pairs)),
-        (f"{out}/pairs.svg", lambda p, c=pairs: export_cloud_svg(c, p),
-         min(len(pairs), 32768)),
-        (f"{out}/triples.csv", lambda p, c=triples: export_cloud_csv(c, p),
-         len(triples)),
-    ]
+    n_values, jobs = _cloud_jobs(gen, [2, 3],
+                                 lambda d, ext: f"{out}/{_CLOUD_NAMES[d]}.{ext}")
     records = [
         TestResult(path.rsplit("/", 1)[-1], float(rows), None, None,
                    {"path": path, "rows": rows}, "pass")
@@ -485,21 +491,10 @@ _RUNNERS = {
 }
 
 
-def _summary_verdict(command, records) -> str:
-    """The report's verdict: reject if any record rejects, else error if
-    any record errs, else pass -- which the spectral test spells accept."""
-    verdicts = {r.verdict for r in records}
-    if "reject" in verdicts:
-        return "reject"
-    if "error" in verdicts:
-        return "error"
-    return "accept" if command == "spectral" else "pass"
-
-
 def _run(args, argv) -> tuple[dict, list, int, object]:
     """Execute a parsed command: its report, file jobs, exit code and extra."""
     descriptor, config, records, summary, files, extra = _RUNNERS[args.command](args)
-    verdict = _summary_verdict(args.command, records)
+    verdict = summary_verdict(records, "accept" if args.command == "spectral" else "pass")
     report = _build_report(args.command, argv, descriptor, config, records,
                            {"verdict": verdict, **summary})
     return report, files, _EXIT_CODES[verdict], extra

@@ -27,7 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -499,25 +501,48 @@ def save_sample(sample: Sample, path) -> None:
 
 
 def load_sample(path) -> Sample:
-    """Read a sample file; '#' comment lines are tolerated and skipped."""
+    """Read a sample file: one value per line, parsed by numpy in one pass.
+
+    Blank lines and lines that start with '#' are skipped anywhere; the
+    last provenance header names the sample.  A line that is not one
+    number raises ``path:line: not a number: '...'``.
+    """
     provenance = "external file"
-    values = []
+    inline_comment = False
+    with open(path) as fh:
+        text = fh.read()
+    for match in re.finditer(r"#.*", text):
+        head = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
+        inline_comment |= bool(head) and not head.isspace()
+        tail = match[0][len(SAMPLE_HEADER_PREFIX):].strip()
+        if match[0].startswith(SAMPLE_HEADER_PREFIX) and tail:
+            provenance = tail
+    del text  # numpy reads the file itself, in chunks
+    try:
+        if inline_comment:
+            raise ValueError("a '#' inside a value line")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without values
+            values = np.loadtxt(path, dtype=np.float64, comments="#", ndmin=2)
+        if values.shape[1] > 1:
+            raise ValueError("more than one value on a line")
+    except ValueError as exc:
+        raise ValueError(_bad_line(path) or f"{path}: {exc}") from None
+    return Sample(values[:, 0], provenance=provenance)
+
+
+def _bad_line(path) -> str | None:
+    """The error for the first line of the file that is neither blank, a
+    comment nor a number, if there is one."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith(SAMPLE_HEADER_PREFIX):
-                    tail = line[len(SAMPLE_HEADER_PREFIX) :].strip()
-                    if tail:
-                        provenance = tail
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
-    return Sample(np.asarray(values, dtype=np.float64), provenance=provenance)
+            if line and not line.startswith("#"):
+                try:
+                    float(line)
+                except ValueError:
+                    return f"{path}:{lineno}: not a number: {line!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------

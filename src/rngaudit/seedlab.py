@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,16 +75,6 @@ class ToyModelConfig:
             raise ValueError("volatility must be nonnegative")
         if self.strike_ratio < 0:
             raise ValueError("strike_ratio must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "paths": self.paths,
-            "horizon_steps": self.horizon_steps,
-            "drift": self.drift,
-            "volatility": self.volatility,
-            "discount_rate": self.discount_rate,
-            "strike_ratio": self.strike_ratio,
-        }
 
 
 def uniform_to_gaussian(u1: float, u2: float) -> tuple[float, float]:
@@ -268,7 +258,7 @@ class SweepReport:
     def to_dict(self) -> dict:
         return {
             "descriptor": self.descriptor,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "per_seed": [
                 {"seed": s, "estimate": float(e), "standard_error": float(se)}
                 for s, e, se in zip(self.seeds, self.estimates, self.standard_errors)

@@ -22,7 +22,7 @@ form, where both sides are exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,9 @@ __all__ = [
     "spectral_accept",
     "acceptance_threshold",
     "acceptance_threshold_sq",
-    "SpectralReport",
     "PointCloud",
     "point_cloud",
+    "thin",
     "plane_membership",
     "export_cloud_csv",
     "export_cloud_svg",
@@ -283,60 +283,17 @@ def _dimension_record(d: int, accuracy_sq: int, vector) -> TestResult:
     return TestResult(f"spectral-d{d}", math.sqrt(accuracy_sq), None, None, detail, verdict)
 
 
-@dataclass
-class SpectralReport:
-    """Per-dimension accuracies of one multiplier/modulus pair.
+def spectral_accept(params: LcgParams, d_max: int = 6) -> list[TestResult]:
+    """One ``spectral-d{d}`` record of nu_d for each d = 2..d_max.
 
-    ``results`` holds one ``spectral-d{d}`` record per dimension; the
-    verdict is "reject" when any of them rejects, else "accept".
-    """
-
-    descriptor: str
-    modulus: int
-    multiplier: int
-    dims: tuple[int, ...]
-    accuracy_sq: dict[int, int]
-    shortest_vectors: dict[int, tuple[int, ...]]
-    results: list[TestResult] = field(init=False)
-    verdict: str = field(init=False)
-
-    def __post_init__(self):
-        self.results = [
-            _dimension_record(d, self.accuracy_sq[d], self.shortest_vectors[d])
-            for d in self.dims
-        ]
-        rejected = any(r.verdict == "reject" for r in self.results)
-        self.verdict = "reject" if rejected else "accept"
-
-    @property
-    def accuracies(self) -> dict[int, float]:
-        return {d: math.sqrt(sq) for d, sq in self.accuracy_sq.items()}
-
-
-def spectral_accept(params: LcgParams, d_max: int = 6) -> SpectralReport:
-    """Evaluate nu_d for d = 2..d_max and apply the acceptance rule.
-
-    The verdict is "accept" iff nu_d >= 2**(30/d) for every covered d in
-    2..6, compared exactly in squared integer form.  Dimensions 7..8 are
-    reported without thresholds.
+    A record passes iff nu_d >= 2**(30/d), compared exactly in squared
+    integer form; dimensions 7..8 are reported without thresholds, as
+    "info".  ``stats.summary_verdict`` of the records is the verdict.
     """
     if not 2 <= d_max <= MAX_DIM:
         raise ValueError(f"d_max must lie in [2, {MAX_DIM}]")
-    dims = tuple(range(2, d_max + 1))
-    acc_sq: dict[int, int] = {}
-    vecs: dict[int, tuple[int, ...]] = {}
-    for d in dims:
-        sq, vec = spectral_accuracy_sq(params, d)
-        acc_sq[d] = sq
-        vecs[d] = tuple(vec)
-    return SpectralReport(
-        descriptor=f"lcg:m={params.modulus},a={params.multiplier}",
-        modulus=params.modulus,
-        multiplier=params.multiplier,
-        dims=dims,
-        accuracy_sq=acc_sq,
-        shortest_vectors=vecs,
-    )
+    return [_dimension_record(d, *spectral_accuracy_sq(params, d))
+            for d in range(2, d_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +316,12 @@ class PointCloud:
         return int(self.points.shape[0])
 
 
+def thin(points, cap: int):
+    """Every k-th row of ``points``, k the least stride that leaves at most
+    ``cap`` rows: the one thinning rule of clouds and their SVG export."""
+    return points[::-(-len(points) // cap)] if len(points) > cap else points
+
+
 def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> PointCloud:
     """Overlapping d-tuples (x_i, ..., x_{i+d-1}) of the sample.
 
@@ -373,10 +336,7 @@ def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> PointCloud:
     if values.size < d:
         raise ValueError("sample shorter than the tuple dimension")
     pts = np.lib.stride_tricks.sliding_window_view(values, d)
-    if pts.shape[0] > cap:
-        stride = -(-pts.shape[0] // cap)
-        pts = pts[::stride]
-    return PointCloud(d, np.array(pts))
+    return PointCloud(d, np.array(thin(pts, cap)))
 
 
 def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dict:
@@ -421,9 +381,10 @@ def export_cloud_csv(cloud: PointCloud, path) -> int:
 
 
 SVG_SIZE = 800
+SVG_MAX_POINTS = 32768
 
 
-def export_cloud_svg(cloud: PointCloud, path, max_points: int = 32768) -> int:
+def export_cloud_svg(cloud: PointCloud, path, max_points: int = SVG_MAX_POINTS) -> int:
     """Scatter a 2-D cloud into an 800x800 SVG; returns the points drawn.
 
     Clouds larger than ``max_points`` are thinned by stride sampling so
@@ -431,10 +392,7 @@ def export_cloud_svg(cloud: PointCloud, path, max_points: int = 32768) -> int:
     """
     if cloud.dimension != 2:
         raise ValueError("SVG export is 2-D only")
-    pts = cloud.points
-    if pts.shape[0] > max_points:
-        stride = -(-pts.shape[0] // max_points)
-        pts = pts[::stride]
+    pts = thin(cloud.points, max_points)
     s = SVG_SIZE
 
     def chunks():

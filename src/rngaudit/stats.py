@@ -359,6 +359,15 @@ class TestResult:
         }
 
 
+def summary_verdict(records, passed: str = "pass") -> str:
+    """The verdict of a set of records: "reject" if any record rejects,
+    else "error" if any errs, else ``passed`` (the spectral test says "accept")."""
+    verdicts = {r.verdict for r in records}
+    if "reject" in verdicts:
+        return "reject"
+    return "error" if "error" in verdicts else passed
+
+
 @dataclass
 class BinnedCounts:
     """Observed counts with their expectations for a chi-square test."""

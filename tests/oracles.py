@@ -303,3 +303,26 @@ def sweep_pairs_loop(seeds, estimates, standard_errors, delta):
             if abs(est[i] - est[j]) > 3.0 * math.hypot(se[i], se[j]):
                 flag = True
     return float(best[0]), best[1], flag
+
+
+def load_sample_lines(path, header_prefix="# rngaudit-sample v1"):
+    """(values, provenance) of a sample file, one float() per line: blank
+    and '#' lines skipped anywhere, the last non-empty header wins."""
+    provenance = "external file"
+    values = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if line.startswith(header_prefix):
+                    tail = line[len(header_prefix):].strip()
+                    if tail:
+                        provenance = tail
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
+    return np.asarray(values, dtype=np.float64), provenance

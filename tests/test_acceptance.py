@@ -38,6 +38,7 @@ from rngaudit.spectral import (
     spectral_accuracy,
     spectral_accuracy_sq,
 )
+from rngaudit.stats import summary_verdict
 
 from oracles import closed_form_put, lattice_min_norm_sq
 
@@ -137,7 +138,7 @@ def test_hyperplane_phenomenon_reproduced(tmp_path):
     """The known-poor multiplier is rejected, its full-period orbit lies
     exactly on the few planes of the shortest dual vector, and the
     figure artifacts are written."""
-    report = spectral_accept(POOR_PARAMS, d_max=6)
+    verdict = summary_verdict(spectral_accept(POOR_PARAMS, d_max=6))
     values = make_generator(POOR).generate(262144)
     _, vec = spectral_accuracy_sq(POOR_PARAMS, 3)
     membership = plane_membership(point_cloud(values, 3), vec, slack=1e-9)
@@ -147,7 +148,7 @@ def test_hyperplane_phenomenon_reproduced(tmp_path):
         for name in ("pairs.csv", "pairs.svg", "triples.csv")
     )
     ok = (
-        report.verdict == "reject"
+        verdict == "reject"
         and membership["within_slack"]
         and membership["max_deviation"] <= 1e-9
         and code == 0
@@ -156,7 +157,7 @@ def test_hyperplane_phenomenon_reproduced(tmp_path):
     _criterion(
         "hyperplane-phenomenon",
         ok,
-        f"verdict={report.verdict}, planes={membership['n_planes']}, "
+        f"verdict={verdict}, planes={membership['n_planes']}, "
         f"max dev={membership['max_deviation']:.1e}, artifacts={files_ok}",
     )
 

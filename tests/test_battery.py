@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -79,9 +80,9 @@ class TestBatteryConfig:
         with pytest.raises(ValueError):
             BatteryConfig(**kwargs)
 
-    def test_to_dict_round_trips_through_json(self):
+    def test_asdict_round_trips_through_json(self):
         c = BatteryConfig(alpha=0.05, tests=("serial",), bonferroni=True)
-        d = json.loads(json.dumps(c.to_dict()))
+        d = json.loads(json.dumps(asdict(c)))
         assert d["alpha"] == 0.05
         assert d["tests"] == ["serial"]
         assert d["bonferroni"] is True
@@ -358,7 +359,6 @@ class TestRunBattery:
         ]
         assert all(r.verdict != "error" for r in rep.results)
         assert rep.n_rejections == 0
-        assert rep.provenance == "mt:seed=1"
         # Not captured output: each value is the mpmath (or scipy) p-value
         # of the statistic computed on this float sample, so that an
         # ill-conditioned evaluation cannot freeze its own rounding here.
@@ -403,9 +403,10 @@ class TestRunBattery:
         assert rep.results[1].verdict == "error"
         assert rep.results[1].detail == {"error": "unknown test 'bogus'"}
 
-    def test_plain_array_input_marked_external(self):
+    def test_plain_array_input_runs(self):
         rep = run_battery(np.linspace(0.0, 0.999, 50_000))
-        assert rep.provenance == "external"
+        assert len(rep.results) == 9
+        assert all(r.verdict != "error" for r in rep.results)
 
     def test_registry_covers_default_families(self):
         assert set(TEST_REGISTRY) == {"uniformity", "permutation", "serial", "birthday"}
@@ -419,12 +420,7 @@ class TestRunBattery:
             "name": "bogus", "statistic": None, "p_value": None, "alpha": None,
             "verdict": "error", "detail": {"error": "unknown test 'bogus'"},
         }
-        assert rep.config is cfg
 
     def test_report_counts_rejections(self):
-        rep = BatteryReport(
-            results=run_battery(np.linspace(0.0, 0.999, 50_000)).results,
-            provenance="x",
-            config=BatteryConfig(),
-        )
+        rep = BatteryReport(results=run_battery(np.linspace(0.0, 0.999, 50_000)).results)
         assert rep.n_rejections == sum(1 for r in rep.results if r.verdict == "reject")

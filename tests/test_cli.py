@@ -396,6 +396,15 @@ class TestFiguresCommand:
         rows = {r["name"]: r["detail"]["rows"] for r in report["results"]}
         assert rows == {"pairs.csv": 1023, "pairs.svg": 1023, "triples.csv": 1022}
 
+    def test_svg_rows_are_the_points_drawn(self, tmp_path):
+        # 39999 pairs thin by a stride of 2 to 20000 points, not to the cap of 32768
+        out = tmp_path / "r.json"
+        main(["figures", "lcg:m=40000,a=4001,c=1,seed=1", "--out-dir", str(tmp_path),
+              "--quiet", "--json", str(out)])
+        rows = {r["name"]: r["detail"]["rows"] for r in _load_report(out)["results"]}
+        assert rows["pairs.svg"] == (tmp_path / "pairs.svg").read_text().count("<circle")
+        assert rows == {"pairs.csv": 39999, "pairs.svg": 20000, "triples.csv": 39998}
+
     def test_default_descriptor_is_the_poor_multiplier(self):
         assert FIGURE_DESCRIPTOR == POOR
 

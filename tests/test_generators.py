@@ -21,7 +21,13 @@ from rngaudit import (
     load_sample,
 )
 from rngaudit.generators import _JUMP, WH_AS183_MODULI, WH_AS183_MULTIPLIERS, _lcg_states
-from oracles import ScalarMT, dict_period, first_repeat_step, lcg_sequence
+from oracles import (
+    ScalarMT,
+    dict_period,
+    first_repeat_step,
+    lcg_sequence,
+    load_sample_lines,
+)
 
 # Block sizes around the jump-ahead edges of bulk generation (which are
 # also the scalar refill size) and around the 624-word MT twist.
@@ -506,6 +512,20 @@ class TestMakeGenerator:
 # samples on disk
 
 
+_SPACE = st.text(alphabet=" \t", max_size=2)
+_TEXT = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+# One line of a sample file, without its newline: a value, a blank line,
+# a comment or a provenance header, whose tail may be empty.
+SAMPLE_LINES = st.one_of(
+    st.builds("{}{!r}{}".format, _SPACE,
+              st.floats(min_value=0.0, max_value=math.nextafter(1.0, 0.0)), _SPACE),
+    _SPACE,
+    st.builds("{}#{}".format, _SPACE, _TEXT),
+    st.builds("{}# rngaudit-sample v1{}".format, _SPACE, _TEXT),
+)
+BAD_LINES = st.sampled_from(["0.5x", "0.25 # note", "0.25 0.5", "1,5", "0x1p-3", "- 0.5"])
+
+
 class TestSample:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -564,3 +584,30 @@ class TestSample:
         path = tmp_path_factory.mktemp("rt") / "s.txt"
         save_sample(Sample(np.array(values)), path)
         assert load_sample(path).values.tolist() == values
+
+    @given(lines=st.lists(SAMPLE_LINES, max_size=20),
+           bad=st.none() | st.tuples(st.integers(0, 20), BAD_LINES),
+           newline=st.sampled_from(["\n", "\r\n"]), last_newline=st.booleans())
+    @example(lines=[], bad=(0, "0.25 0.5"), newline="\n", last_newline=True)
+    @settings(max_examples=200)
+    def test_load_matches_the_line_oracle(self, lines, bad, newline, last_newline,
+                                          tmp_path_factory):
+        # headers, comments and blank lines anywhere, CRLF, surrounding whitespace,
+        # and at most one bad line: same values, bit for bit, or the same error
+        if bad is not None:
+            lines.insert(*bad)
+        path = tmp_path_factory.mktemp("load") / "s.txt"
+        path.write_bytes((newline.join(lines) + newline * last_newline).encode())
+
+        def outcome(load):
+            try:
+                values, provenance = load(path)
+            except ValueError as exc:
+                return str(exc)
+            return values.tobytes(), provenance
+
+        def fast(p):
+            sample = load_sample(p)
+            return sample.values, sample.provenance
+
+        assert outcome(fast) == outcome(load_sample_lines)

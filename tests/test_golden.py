@@ -1,0 +1,118 @@
+"""Golden reports: every command's payload, stdout and exit code, pinned.
+
+``tests/golden/reports.json`` holds, for each argv in ``CASES``, the
+reproducible payload of the JSON report (``payload_without_timestamp``),
+everything printed to stdout and the exit code.  Strings, integers and
+verdicts must match exactly.  Floats must match to ``FLOAT_REL``
+relative: numpy's SIMD ``log`` moves battery floats by ulps across
+builds.
+
+Rebuild the fixtures (only on purpose, and say why in the change log)::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from rngaudit.cli import main, payload_without_timestamp
+
+GOLDEN = Path(__file__).parent / "golden" / "reports.json"
+FLOAT_REL = 1e-12
+REPORT = "golden-report.json"
+
+FM = "lcg:m=2147483647,a=742938285,c=0,seed=5"
+
+# Run in order in one directory: ``test fm.txt`` reads what the line before writes.
+CASES = [
+    ["generate", "lcg:m=10,a=7,c=7,seed=7", "-n", "6"],
+    ["generate", FM, "-n", "100000", "-o", "fm.txt"],
+    ["test", "fm.txt"],
+    ["test", "mt:seed=1", "-n", "20000"],
+    ["test", "mt:seed=1", "-n", "5000"],
+    ["test", "lcg:m=10,a=7,c=7,seed=7", "-n", "20000"],
+    ["spectral", "lcg:m=262144,a=4649,c=819,seed=1"],
+    ["spectral", "lcg:m=1024,a=389,c=1,seed=1", "--dmax", "8", "--cloud", "2",
+     "--cloud-out", "c"],
+    ["sweep", "mt:", "--seeds", "1,2,3", "--paths", "200", "--steps", "20"],
+    ["period", "lcg:m=10,a=7,c=7,seed=7", "--brute-cap", "100"],
+    ["period", "lcg:m=4951760154835678088235319297,a=3,c=1,seed=1",
+     "--factor-bound", "100000"],
+    ["figures", "lcg:m=1024,a=389,c=1,seed=1", "--out-dir", "f1"],
+    ["figures", "lcg:m=40000,a=4001,c=1,seed=1", "--out-dir", "f2"],
+]
+
+
+def run_case(argv) -> dict:
+    """Run one argv through ``main`` in the current directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--json", REPORT])
+    report = json.loads(Path(REPORT).read_text())
+    os.remove(REPORT)
+    return {"argv": argv, "exit_code": code, "stdout": out.getvalue(),
+            "payload": payload_without_timestamp(report)}
+
+
+def run_cases() -> list[dict]:
+    for name in ("f1", "f2"):
+        os.makedirs(name, exist_ok=True)
+    return [run_case(argv) for argv in CASES]
+
+
+def assert_matches(got, want, where="$"):
+    """Equal in structure and type; floats within FLOAT_REL relative."""
+    assert type(got) is type(want), f"{where}: {got!r} != {want!r}"
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), f"{where}: keys {sorted(got)} != {sorted(want)}"
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=FLOAT_REL, abs_tol=0.0), \
+            f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("golden"))
+        return run_cases()
+
+
+def test_golden_covers_every_case():
+    assert [case["argv"] for case in json.loads(GOLDEN.read_text())] == CASES
+
+
+@pytest.mark.parametrize("index", range(len(CASES)),
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(CASES)])
+def test_report_matches_golden(runs, index):
+    want = json.loads(GOLDEN.read_text())[index]
+    got = runs[index]
+    assert got["exit_code"] == want["exit_code"]
+    assert got["stdout"] == want["stdout"]
+    assert_matches(got["payload"], want["payload"])
+
+
+if __name__ == "__main__":
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        cases = run_cases()
+        os.chdir(here)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")

@@ -7,7 +7,7 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -197,8 +197,8 @@ class TestToyModelConfig:
         with pytest.raises(ValueError):
             ToyModelConfig(**kwargs)
 
-    def test_to_dict_round_trips_through_json(self):
-        d = json.loads(json.dumps(ToyModelConfig().to_dict()))
+    def test_asdict_round_trips_through_json(self):
+        d = json.loads(json.dumps(asdict(ToyModelConfig())))
         assert d == {
             "paths": 1000,
             "horizon_steps": 80,
@@ -284,7 +284,7 @@ class TestMcEstimate:
         ref = _load_bench_reference()
         uniforms = ref.stream(ref.seeded(self.REFERENCE_SPECS[descriptor], seed),
                               paths * steps + 64)
-        assert _bits(ref.box_muller_estimate(uniforms, cfg.to_dict())) == _bits(want)
+        assert _bits(ref.box_muller_estimate(uniforms, asdict(cfg))) == _bits(want)
 
     @pytest.mark.parametrize("descriptor,seed", [("mt:", 3), (SHORT_LCG, 2), ("wh:", 4),
                                                  (ZERO_SKIP_LCG, 7), (ODD_CYCLE_LCG, 1)])

@@ -17,7 +17,6 @@ from rngaudit.spectral import (
     _lll_reduce,
     _round_half_even,
     PointCloud,
-    SpectralReport,
     acceptance_threshold,
     acceptance_threshold_sq,
     dual_lattice_basis,
@@ -30,6 +29,7 @@ from rngaudit.spectral import (
     spectral_accuracy,
     spectral_accuracy_sq,
 )
+from rngaudit.stats import summary_verdict
 
 from oracles import fraction_lll_reduce, lattice_min_norm_sq
 
@@ -228,69 +228,69 @@ class TestThresholds:
 # accept/reject verdicts
 
 
+def _accuracy_sq(records):
+    return {int(r.name.removeprefix("spectral-d")): r.detail["accuracy_sq"] for r in records}
+
+
 class TestSpectralAccept:
     def test_poor_multiplier_rejected_in_every_dimension(self):
-        rep = spectral_accept(SMALL_MOD, d_max=6)
-        assert rep.verdict == "reject"
-        assert rep.dims == (2, 3, 4, 5, 6)
-        assert rep.accuracy_sq == {2: 168328, 3: 1496, 4: 266, 5: 84, 6: 52}
-        assert [r.verdict for r in rep.results] == ["reject"] * 5
+        records = spectral_accept(SMALL_MOD, d_max=6)
+        assert summary_verdict(records) == "reject"
+        assert _accuracy_sq(records) == {2: 168328, 3: 1496, 4: 266, 5: 84, 6: 52}
+        assert [r.verdict for r in records] == ["reject"] * 5
 
     def test_good_multiplier_accepted(self):
-        rep = spectral_accept(GOOD, d_max=6)
-        assert rep.verdict == "accept"
-        assert rep.accuracy_sq == {
+        records = spectral_accept(GOOD, d_max=6)
+        assert summary_verdict(records) == "pass"
+        assert _accuracy_sq(records) == {
             2: 1865046914, 3: 1553522, 4: 48775, 5: 5670, 6: 1495
         }
-        assert [r.verdict for r in rep.results] == ["pass"] * 5
+        assert [r.verdict for r in records] == ["pass"] * 5
 
-    def test_descriptor_and_attributes(self):
-        rep = spectral_accept(SMALL_MOD, d_max=3)
-        assert rep.descriptor == "lcg:m=262144,a=4649"
-        assert rep.modulus == 262144
-        assert rep.multiplier == 4649
-        assert rep.dims == (2, 3)
+    def test_records_name_each_dimension(self):
+        records = spectral_accept(SMALL_MOD, d_max=3)
+        assert [r.name for r in records] == ["spectral-d2", "spectral-d3"]
+        assert [r.detail["shortest_vector"] for r in records] == [
+            spectral_accuracy_sq(SMALL_MOD, d)[1] for d in (2, 3)
+        ]
 
     def test_dimensions_beyond_rule_reported_without_verdict(self):
-        rep = spectral_accept(SMALL_MOD, d_max=8)
-        assert rep.dims == (2, 3, 4, 5, 6, 7, 8)
-        assert [r.verdict for r in rep.results[5:]] == ["info", "info"]
-        assert rep.verdict == "reject"  # unchanged by the unruled dimensions
-        assert rep.accuracy_sq[7] > 0 and rep.accuracy_sq[8] > 0
+        records = spectral_accept(SMALL_MOD, d_max=8)
+        assert list(_accuracy_sq(records)) == [2, 3, 4, 5, 6, 7, 8]
+        assert [r.verdict for r in records[5:]] == ["info", "info"]
+        assert summary_verdict(records) == "reject"  # unchanged by the unruled dimensions
+        assert records[5].detail["accuracy_sq"] > 0 and records[6].detail["accuracy_sq"] > 0
 
     def test_partial_range_verdict_covers_only_computed_dims(self):
         # accuracy falls with dimension, so a low d_max can accept a pair
         # the full rule reaches a verdict on later
-        rep = spectral_accept(GOOD, d_max=2)
-        assert rep.verdict == "accept"
-        assert rep.dims == (2,)
+        records = spectral_accept(GOOD, d_max=2)
+        assert summary_verdict(records) == "pass"
+        assert [r.name for r in records] == ["spectral-d2"]
 
     @pytest.mark.parametrize("d_max", [1, 9])
     def test_rejects_bad_dimension_limit(self, d_max):
         with pytest.raises(ValueError):
             spectral_accept(SMALL_MOD, d_max=d_max)
 
-    def test_accuracies_property_is_sqrt_of_exact(self):
-        rep = spectral_accept(SMALL_MOD, d_max=4)
-        for d in rep.dims:
-            assert rep.accuracies[d] == pytest.approx(
-                math.sqrt(rep.accuracy_sq[d]), rel=REL
-            )
+    def test_statistic_is_sqrt_of_exact(self):
+        for r in spectral_accept(SMALL_MOD, d_max=4):
+            assert r.statistic == pytest.approx(math.sqrt(r.detail["accuracy_sq"]), rel=REL)
 
     def test_to_dict_round_trips_through_json(self):
-        rep = spectral_accept(SMALL_MOD, d_max=6)
-        d = json.loads(json.dumps([r.to_dict() for r in rep.results]))
-        assert [r["name"] for r in d] == [f"spectral-d{k}" for k in rep.dims]
+        records = spectral_accept(SMALL_MOD, d_max=6)
+        d = json.loads(json.dumps([r.to_dict() for r in records]))
+        assert [r["name"] for r in d] == [f"spectral-d{k}" for k in range(2, 7)]
         assert d[0]["detail"]["accuracy_sq"] == 168328
         assert d[0]["detail"]["threshold_sq"] == 2**30
         assert d[0]["detail"]["threshold"] == 32768.0
         assert d[4]["verdict"] == "reject"
         assert d[0]["statistic"] == pytest.approx(math.sqrt(168328), rel=REL)
         assert d[0]["p_value"] is None and d[0]["alpha"] is None
-        assert d[1]["detail"]["shortest_vector"] == list(rep.shortest_vectors[3])
+        assert d[1]["detail"]["shortest_vector"] == spectral_accuracy_sq(SMALL_MOD, 3)[1]
 
     def test_to_dict_omits_thresholds_beyond_rule(self):
-        d = [r.to_dict() for r in spectral_accept(SMALL_MOD, d_max=8).results]
+        d = [r.to_dict() for r in spectral_accept(SMALL_MOD, d_max=8)]
         assert d[5]["name"] == "spectral-d7"
         assert d[5]["detail"]["threshold"] is None
         assert d[5]["detail"]["threshold_sq"] is None

@@ -21,6 +21,7 @@ from rngaudit.stats import (
     levene_test,
     poisson_pmf,
     student_t_sf_two_sided,
+    summary_verdict,
     t_test_mean,
     variance_test,
 )
@@ -177,6 +178,17 @@ class TestResultContainer:
             "verdict": "pass",
             "detail": {"k": 1},
         }
+
+    @pytest.mark.parametrize("verdicts,want", [
+        ([], "pass"),
+        (["pass", "info"], "pass"),
+        (["pass", "error"], "error"),
+        (["error", "reject", "pass"], "reject"),
+    ])
+    def test_summary_verdict(self, verdicts, want):
+        records = [ResultRecord("x", None, None, None, {}, v) for v in verdicts]
+        assert summary_verdict(records) == want
+        assert summary_verdict(records, "accept") == ("accept" if want == "pass" else want)
 
 
 class TestBinnedCounts:
