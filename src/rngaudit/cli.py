@@ -382,9 +382,10 @@ def _run_test(args):
 
 def _cloud_jobs(gen, dims, path):
     """Sample ``gen``, build its point clouds of dimensions ``dims`` and
-    queue their exports: (path, write, rows) for each CSV, and for the
-    SVG of the pairs, whose rows are the points it draws.  ``path(d,
-    ext)`` names each file.  Returns the sample size and the jobs."""
+    queue their exports: a CSV of each, and an SVG of the pairs.  ``path(d,
+    ext)`` names each file.  Returns the sample size, one ``pass`` record
+    per file (named after it; statistic and ``rows`` the rows written, for
+    the SVG the points it draws) and the (path, write) jobs."""
     n_values = min(gen.params.modulus, 1 << 18) if isinstance(gen, Lcg) else 1 << 17
     sample = gen.sample(n_values)
     jobs = []
@@ -394,7 +395,10 @@ def _cloud_jobs(gen, dims, path):
         if d == 2:
             jobs.append((path(d, "svg"), lambda p, c=cloud: export_cloud_svg(c, p),
                          len(thin(cloud.points, SVG_MAX_POINTS))))
-    return n_values, jobs
+    records = [TestResult(p.rsplit("/", 1)[-1], float(rows), None, None,
+                          {"path": p, "rows": rows}, "pass")
+               for p, _, rows in jobs]
+    return n_values, records, [(p, write) for p, write, _ in jobs]
 
 
 def _run_spectral(args):
@@ -407,9 +411,10 @@ def _run_spectral(args):
     }
     files = []
     if args.cloud:
-        _, jobs = _cloud_jobs(make_generator(args.descriptor), [args.cloud],
-                              lambda d, ext: f"{args.cloud_out}-d{d}.{ext}")
-        files = [(p, write) for p, write, _ in jobs]
+        _, written, files = _cloud_jobs(make_generator(args.descriptor), [args.cloud],
+                                        lambda d, ext: f"{args.cloud_out}-d{d}.{ext}")
+        records += written
+        summary["files"] = [p for p, _ in files]
     config = {"dmax": args.dmax, "cloud": args.cloud}
     return args.descriptor, config, records, summary, files, None
 
@@ -469,16 +474,11 @@ def _run_period(args):
 def _run_figures(args):
     gen = make_generator(args.descriptor)
     out = args.out_dir.rstrip("/") or "."
-    n_values, jobs = _cloud_jobs(gen, [2, 3],
-                                 lambda d, ext: f"{out}/{_CLOUD_NAMES[d]}.{ext}")
-    records = [
-        TestResult(path.rsplit("/", 1)[-1], float(rows), None, None,
-                   {"path": path, "rows": rows}, "pass")
-        for path, _, rows in jobs
-    ]
-    summary = {"n_values": n_values, "files": [path for path, _, _ in jobs]}
+    n_values, records, files = _cloud_jobs(gen, [2, 3],
+                                           lambda d, ext: f"{out}/{_CLOUD_NAMES[d]}.{ext}")
+    summary = {"n_values": n_values, "files": [p for p, _ in files]}
     config = {"out_dir": out, "n_values": n_values}
-    return gen.descriptor, config, records, summary, [(p, fn) for p, fn, _ in jobs], None
+    return gen.descriptor, config, records, summary, files, None
 
 
 _RUNNERS = {
@@ -530,13 +530,18 @@ def _print_summary(command, report, extra, quiet):
             print(f"{r['name']:<22} statistic={stat:<12} p={p:<10} {r['verdict']}")
         print(f"=> {summary['verdict']} ({summary['n_rejections']} rejection(s), "
               f"{summary['n_errors']} error(s), n={summary['sample_size']})")
-    elif command == "spectral":
+    elif command in ("spectral", "figures"):
         for r in report["results"]:
-            thr = r["detail"]["threshold"]
+            d = r["detail"]
+            if "path" in d:
+                print(f"wrote {d['path']} ({d['rows']} rows)")
+                continue
+            thr = d["threshold"]
             bound = "no threshold" if thr is None else f"threshold {thr:.2f}"
             print(f"{r['name']:<14} accuracy={r['statistic']:<12.4f} {bound:<18} "
                   f"{r['verdict']}")
-        print(f"=> {summary['verdict']}")
+        if command == "spectral":
+            print(f"=> {summary['verdict']}")
     elif command == "sweep" and extra is not None:
         print(extra.to_text_table())
         print(f"=> {summary['verdict']}")
@@ -545,9 +550,6 @@ def _print_summary(command, report, extra, quiet):
         print(f"modulus {d['modulus']}: full period = {summary['full_period']}"
               f" (predicate {d['predicate']}, brute {d['brute_period']})")
         print(f"=> {summary['verdict']}")
-    elif command == "figures":
-        for r in report["results"]:
-            print(f"wrote {r['detail']['path']} ({r['detail']['rows']} rows)")
     elif command == "generate":
         print(f"wrote {summary['count']} values to {summary['output']}")
 

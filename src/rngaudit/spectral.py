@@ -367,14 +367,22 @@ def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dic
 
 
 def export_cloud_csv(cloud: PointCloud, path) -> int:
-    """Write the cloud as CSV with header x1,x2[,x3]; returns the row count."""
+    """Write the cloud as CSV with header x1,x2[,x3]; returns the row count.
+
+    Each cell is ``repr`` of its value.  A window cloud holds each sample
+    value in d cells, so each block of rows formats its distinct values
+    once, keyed by their bits (``-0.0`` and ``0.0``, or two NaNs, keep
+    their own text), and builds its rows from those strings.
+    """
     pts = cloud.points
 
     def chunks():
         yield ",".join(f"x{i + 1}" for i in range(cloud.dimension)) + "\n"
         for start in range(0, len(pts), _TEXT_BLOCK):
-            columns = pts[start:start + _TEXT_BLOCK].T.tolist()
-            yield "".join([",".join(map(repr, row)) + "\n" for row in zip(*columns)])
+            block = pts[start:start + _TEXT_BLOCK]
+            bits, cell = np.unique(block.view(np.uint64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            yield "\n".join(map(",".join, text[cell.reshape(block.shape)].tolist())) + "\n"
 
     _atomic_write_text(path, chunks())
     return len(cloud)

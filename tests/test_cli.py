@@ -277,6 +277,31 @@ class TestSpectralCommand:
         assert csv.exists() and svg.exists()
         assert len(csv.read_text().splitlines()) == 1024  # header + 1023 pairs
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cloud_files_are_reported_with_their_rows(self, tmp_path, capsys, d):
+        stem = str(tmp_path / "cloud")
+        out = tmp_path / "r.json"
+        code = main(["spectral", SMALL, "--cloud", str(d), "--cloud-out", stem,
+                     "--json", str(out)])
+        text = capsys.readouterr().out
+        report = _load_report(out)
+        written = {f"{stem}-d{d}.csv": len((tmp_path / f"cloud-d{d}.csv").read_text()
+                                          .splitlines()) - 1}
+        if d == 2:
+            written[f"{stem}-d2.svg"] = (tmp_path / "cloud-d2.svg").read_text().count("<circle")
+        files = [r for r in report["results"] if "path" in r["detail"]]
+        assert {r["detail"]["path"]: r["detail"]["rows"] for r in files} == written
+        assert all(r["name"] == r["detail"]["path"].rsplit("/", 1)[-1]
+                   and r["statistic"] == r["detail"]["rows"]
+                   and r["verdict"] == "pass" for r in files)
+        assert report["summary"]["files"] == list(written)
+        for path, rows in written.items():
+            assert f"wrote {path} ({rows} rows)" in text
+        # file records leave the verdict and exit code to the dimensions
+        assert report["summary"]["verdict"] == "reject"
+        assert code == EXIT_REJECT
+        assert text.endswith("=> reject\n")
+
     def test_three_dimensional_cloud_is_csv_only(self, tmp_path):
         stem = str(tmp_path / "c")
         main(["spectral", SMALL, "--cloud", "3", "--cloud-out", stem, "--quiet"])

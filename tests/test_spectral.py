@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rngaudit.generators import LcgParams, make_generator, save_sample
@@ -37,6 +38,14 @@ REL = 1e-12
 
 SMALL_MOD = LcgParams(modulus=262144, multiplier=4649, increment=819, seed=1)
 GOOD = LcgParams(modulus=2**31 - 1, multiplier=742938285, increment=0, seed=1)
+
+# Values whose text is easy to get wrong: both zeros, NaNs of either sign
+# and another payload, the least subnormal, repr's switch to an exponent.
+AWKWARD = [-0.0, 0.0, math.nan, -math.nan,
+           float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]),
+           5e-324, 1e-05, 9.999999999999999e-06, 0.0001, 0.1, 1.0, 1e16,
+           math.inf, -math.inf]
+CLOUD_VALUES = st.sampled_from(AWKWARD) | st.floats(allow_nan=True, allow_infinity=True)
 
 
 def _det_int(rows):
@@ -432,6 +441,49 @@ class TestExports:
         lines = [f"# rngaudit-sample v1 {values.provenance}",
                  *(repr(float(v)) for v in values.values)]
         assert (tmp_path / "s.txt").read_text() == "\n".join(lines) + "\n"
+
+    @given(pool=st.lists(CLOUD_VALUES, min_size=1, max_size=12),
+           kind=st.sampled_from(["window", "thinned", "free"]),
+           d=st.sampled_from([2, 3]), rows=st.integers(1, 4200),
+           stride=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    @example(pool=[0.0, -0.0], kind="window", d=2, rows=4100, stride=0, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_csv_equals_per_element_repr(self, pool, kind, d, rows, stride, seed,
+                                         tmp_path_factory):
+        # a few values drawn again and again, so rows repeat within blocks
+        # and across the 4096-row block edge
+        rng = np.random.default_rng(seed)
+        draw = np.array(pool)[rng.integers(len(pool), size=rows * d)]
+        if kind == "window":
+            cloud = point_cloud(draw[:rows + d - 1], d)
+        elif kind == "thinned":  # stride >= d: no value shared between rows
+            cloud = point_cloud(draw[:rows + d - 1], d, cap=max(1, rows // (d + stride)))
+        else:  # a hand-built cloud that is no window
+            cloud = PointCloud(d, draw.reshape(rows, d))
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        assert export_cloud_csv(cloud, path) == len(cloud)
+        header = ",".join(f"x{i + 1}" for i in range(d))
+        want = [header, *(",".join(repr(float(v)) for v in row) for row in cloud.points), ""]
+        got = path.read_text().split("\n")
+        # the first differing line, not a diff of the whole text, which
+        # pytest would rebuild for every example hypothesis shrinks
+        assert len(got) == len(want)
+        assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                    None) is None
+
+    def test_csv_memory_stays_per_block(self, tmp_path):
+        # formatting the whole cloud's distinct values at once would hold
+        # megabytes of inverse indices and strings
+        values = make_generator("lcg:m=262144,a=4649,c=819,seed=1").sample(2**18 + 2)
+        cloud = point_cloud(values, 3)
+        assert len(cloud) == 2**18
+        tracemalloc.start()
+        try:
+            export_cloud_csv(cloud, tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_svg_is_two_dimensional_only(self, tmp_path):
         cloud = point_cloud(np.linspace(0, 0.9, 10), 3)
