@@ -65,8 +65,8 @@ def main() -> None:
     print(f"{'generator':<20s} {'max |delta| %':>14s} {'flag':>9s}")
     for label, descriptor in GENERATORS:
         sweep = seed_sweep(descriptor, range(1, args.seeds + 1))
-        flag = "TRIPPED" if sweep.seed_effect_flag else "ok"
-        print(f"{label:<20s} {sweep.max_abs_relative_delta:>14.2f} {flag:>9s}")
+        flag = "TRIPPED" if sweep.verdict == "reject" else "ok"
+        print(f"{label:<20s} {sweep.statistic:>14.2f} {flag:>9s}")
 
 
 if __name__ == "__main__":

@@ -46,8 +46,7 @@ def main() -> None:
         lcg = seed_sweep(LCG, seeds, config)
         mt = seed_sweep("mt:", seeds, config)
         print(f"{steps:>6d} {window:>13d} {window / period:>14.2f} "
-              f"{lcg.max_abs_relative_delta:>18.2f} "
-              f"{mt.max_abs_relative_delta:>17.2f}")
+              f"{lcg.statistic:>18.2f} {mt.statistic:>17.2f}")
     print("\nRead the excess of the first column over the baseline: short "
           "horizons\nare noisy for any generator, but only the short-period "
           "one keeps a\nlarge excess until its runs wrap the full period, "

@@ -28,7 +28,7 @@ from .spectral import (
     acceptance_threshold,
     point_cloud,
 )
-from .seedlab import ToyModelConfig, SweepReport, mc_estimate, seed_sweep
+from .seedlab import ToyModelConfig, mc_estimate, seed_sweep
 
 __all__ = [
     "__version__",
@@ -51,7 +51,6 @@ __all__ = [
     "acceptance_threshold",
     "point_cloud",
     "ToyModelConfig",
-    "SweepReport",
     "mc_estimate",
     "seed_sweep",
 ]

@@ -309,11 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 # command implementations
 #
 # Each _run_* is pure: it returns (descriptor, config, records, summary,
-# file jobs, extra) and writes nothing, so reports can be rebuilt from
-# their manifest without touching the filesystem.  _run turns that into
+# file jobs) and writes nothing, so reports can be rebuilt from their
+# manifest without touching the filesystem.  run_command turns that into
 # the report, its summary verdict and the exit code.  File jobs are
-# (path, write) callables executed by main() after the report exists;
-# extra is what the human-readable summary prints from.
+# (path, write) pairs; main() calls write(path) for each after the report
+# exists.  The human-readable summary prints from the report alone.
 
 
 def _lcg_params(descriptor: str, command: str):
@@ -340,10 +340,12 @@ def _run_generate(args):
     target = args.output if args.output else "stdout"
     config = {"count": args.count, "output": target}
     records = [TestResult("generate", float(args.count), None, None, config, "pass")]
-    files = []
     if args.output:
-        files.append((args.output, lambda path, s=smp: save_sample(s, path)))
-    return gen.descriptor, config, records, config, files, smp
+        job = (args.output, lambda path: save_sample(smp, path))
+    else:
+        # the values are the output, so they are printed even under --quiet
+        job = (target, lambda _: sys.stdout.writelines(sample_lines(smp)))
+    return gen.descriptor, config, records, config, [job]
 
 
 def _is_descriptor(src: str) -> bool:
@@ -377,7 +379,7 @@ def _run_test(args):
         "sample_size": len(sample.values),
         "source": src,
     }
-    return descriptor, dataclasses.asdict(config), battery.results, summary, [], battery
+    return descriptor, dataclasses.asdict(config), battery.results, summary, []
 
 
 def _cloud_jobs(gen, dims, path):
@@ -416,24 +418,19 @@ def _run_spectral(args):
         records += written
         summary["files"] = [p for p, _ in files]
     config = {"dmax": args.dmax, "cloud": args.cloud}
-    return args.descriptor, config, records, summary, files, None
+    return args.descriptor, config, records, summary, files
 
 
 def _run_sweep(args):
     seeds = _parse_seeds(args.seeds)
     config = _config(ToyModelConfig(), args)
-    sweep = seed_sweep(args.descriptor, seeds, config)
-    verdict = "reject" if sweep.seed_effect_flag else "pass"
-    records = [
-        TestResult("seed-effect", sweep.max_abs_relative_delta, None, None,
-                   sweep.to_dict(), verdict)
-    ]
+    record = seed_sweep(args.descriptor, seeds, config)
     summary = {
-        "max_abs_relative_delta": sweep.max_abs_relative_delta,
-        "max_pair": list(sweep.max_pair),
+        "max_abs_relative_delta": record.statistic,
+        "max_pair": record.detail["max_pair"],
         "n_seeds": len(seeds),
     }
-    return args.descriptor, dataclasses.asdict(config), records, summary, [], sweep
+    return args.descriptor, dataclasses.asdict(config), [record], summary, []
 
 
 def _run_period(args):
@@ -468,7 +465,7 @@ def _run_period(args):
     ]
     summary = {"full_period": full, "modulus": params.modulus}
     config = {"factor_bound": args.factor_bound, "brute_cap": args.brute_cap}
-    return args.descriptor, config, records, summary, [], full
+    return args.descriptor, config, records, summary, []
 
 
 def _run_figures(args):
@@ -478,7 +475,7 @@ def _run_figures(args):
                                            lambda d, ext: f"{out}/{_CLOUD_NAMES[d]}.{ext}")
     summary = {"n_values": n_values, "files": [p for p, _ in files]}
     config = {"out_dir": out, "n_values": n_values}
-    return gen.descriptor, config, records, summary, files, None
+    return gen.descriptor, config, records, summary, files
 
 
 _RUNNERS = {
@@ -491,46 +488,43 @@ _RUNNERS = {
 }
 
 
-def _run(args, argv) -> tuple[dict, list, int, object]:
-    """Execute a parsed command: its report, file jobs, exit code and extra."""
-    descriptor, config, records, summary, files, extra = _RUNNERS[args.command](args)
+def run_command(argv) -> tuple[dict, list, int, argparse.Namespace]:
+    """Parse argv and execute its command without writing any file: the
+    report, its file jobs, the exit code and the parsed arguments."""
+    args = build_parser().parse_args(argv)
+    descriptor, config, records, summary, files = _RUNNERS[args.command](args)
     verdict = summary_verdict(records, "accept" if args.command == "spectral" else "pass")
     report = _build_report(args.command, argv, descriptor, config, records,
                            {"verdict": verdict, **summary})
-    return report, files, _EXIT_CODES[verdict], extra
-
-
-def run_command(argv) -> tuple[dict, list, int, object]:
-    """Parse argv and execute its command without writing any file."""
-    return _run(build_parser().parse_args(argv), argv)
+    return report, files, _EXIT_CODES[verdict], args
 
 
 def rerun_from_manifest(manifest: dict) -> dict:
     """Rebuild the reproducible payload from a report's embedded manifest."""
-    report, _, _, _ = run_command(list(manifest["argv"]))
-    return payload_without_timestamp(report)
+    return payload_without_timestamp(run_command(list(manifest["argv"]))[0])
 
 
 # ---------------------------------------------------------------------------
 # human-readable summaries
 
 
-def _print_summary(command, report, extra, quiet):
-    if command == "generate" and extra is not None and report["summary"]["output"] == "stdout":
-        # The values are the payload; print them even under --quiet.
-        sys.stdout.writelines(sample_lines(extra))
-        return
-    if quiet:
+def _fmt(x, spec: str) -> str:
+    """``x`` formatted by ``spec``; null, which stands for a non-finite
+    number in a report, reads n/a."""
+    return "n/a" if x is None else format(x, spec)
+
+
+def _print_summary(args, report):
+    if args.quiet:
         return
     summary = report["summary"]
-    if command == "test":
+    if args.command == "test":
         for r in report["results"]:
-            stat = "n/a" if r["statistic"] is None else f"{r['statistic']:.6g}"
-            p = "n/a" if r["p_value"] is None else f"{r['p_value']:.3e}"
+            stat, p = _fmt(r["statistic"], ".6g"), _fmt(r["p_value"], ".3e")
             print(f"{r['name']:<22} statistic={stat:<12} p={p:<10} {r['verdict']}")
         print(f"=> {summary['verdict']} ({summary['n_rejections']} rejection(s), "
               f"{summary['n_errors']} error(s), n={summary['sample_size']})")
-    elif command in ("spectral", "figures"):
+    elif args.command in ("spectral", "figures"):
         for r in report["results"]:
             d = r["detail"]
             if "path" in d:
@@ -540,28 +534,38 @@ def _print_summary(command, report, extra, quiet):
             bound = "no threshold" if thr is None else f"threshold {thr:.2f}"
             print(f"{r['name']:<14} accuracy={r['statistic']:<12.4f} {bound:<18} "
                   f"{r['verdict']}")
-        if command == "spectral":
+        if args.command == "spectral":
             print(f"=> {summary['verdict']}")
-    elif command == "sweep" and extra is not None:
-        print(extra.to_text_table())
+    elif args.command == "sweep":
+        d = report["results"][0]["detail"]
+        print(f"Seed sweep: {d['descriptor']} "
+              f"(paths={d['config']['paths']}, steps={d['config']['horizon_steps']})\n")
+        print(f"{'seed':>10s}  {'estimate':>14s}  {'std.error':>12s}")
+        for row in d["per_seed"]:
+            print(f"{row['seed']:>10d}  {_fmt(row['estimate'], '.8f'):>14s}  "
+                  f"{_fmt(row['standard_error'], '.8f'):>12s}")
+        seeds = [row["seed"] for row in d["per_seed"]]
+        i, j = d["max_pair"]
+        delta = d["delta_pct"][seeds.index(i)][seeds.index(j)]
+        print(f"\nLargest relative difference (seed {i} vs seed {j}):")
+        print(f"  Delta estimate [%]   {_fmt(delta, '+.2f')}")
+        print(f"Seed-effect flag: {'TRIPPED' if d['seed_effect_flag'] else 'not tripped'}"
+              " (threshold: 3 x pooled standard error)")
+        print(d["sample_size_note"])
         print(f"=> {summary['verdict']}")
-    elif command == "period":
+    elif args.command == "period":
         d = report["results"][0]["detail"]
         print(f"modulus {d['modulus']}: full period = {summary['full_period']}"
               f" (predicate {d['predicate']}, brute {d['brute_period']})")
         print(f"=> {summary['verdict']}")
-    elif command == "generate":
+    elif args.command == "generate" and args.output:
         print(f"wrote {summary['count']} values to {summary['output']}")
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        report, files, code, extra = _run(args, argv)
+        report, files, code, args = run_command(argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -579,7 +583,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    _print_summary(args.command, report, extra, args.quiet)
+    _print_summary(args, report)
     return code
 
 

@@ -97,9 +97,6 @@ class LcgParams:
             f"c={self.increment},seed={self.seed}"
         )
 
-    def with_seed(self, seed: int) -> "LcgParams":
-        return LcgParams(self.modulus, self.multiplier, self.increment, seed)
-
 
 # The longest jump of a bulk LCG draw: once this many states are filled,
 # every later one is the state this many steps before it, jumped ahead in

@@ -20,20 +20,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .generators import UniformGenerator, make_generator
+from .stats import TestResult
 
 __all__ = [
     "ToyModelConfig",
-    "SweepReport",
-    "uniform_to_gaussian",
     "GaussianStream",
     "mc_estimate",
     "seed_sweep",
-    "convergence_report",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -67,29 +65,15 @@ class ToyModelConfig:
     strike_ratio: float = 0.93
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
+        # one path has no standard error, so no seed effect can be judged
+        if self.paths < 2:
+            raise ValueError("paths must be >= 2")
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
         if self.volatility < 0:
             raise ValueError("volatility must be nonnegative")
         if self.strike_ratio < 0:
             raise ValueError("strike_ratio must be nonnegative")
-
-
-def uniform_to_gaussian(u1: float, u2: float) -> tuple[float, float]:
-    """Box-Muller transform of one uniform pair into two standard normals.
-
-    Requires u1 in (0, 1) -- the log has a singularity at zero -- and
-    u2 in [0, 1).
-    """
-    if not 0.0 < u1 < 1.0:
-        raise ValueError("u1 must lie strictly inside (0, 1)")
-    if not 0.0 <= u2 < 1.0:
-        raise ValueError("u2 must lie in [0, 1)")
-    r = math.sqrt(-2.0 * math.log(u1))
-    theta = TWO_PI * u2
-    return r * math.cos(theta), r * math.sin(theta)
 
 
 class GaussianStream:
@@ -106,17 +90,14 @@ class GaussianStream:
     ``generate`` call; each zero it skips is replaced by drawing more
     uniforms in further ``generate`` calls, until every pair is filled.
     It applies the libm ``log``, ``cos`` and ``sin`` of the math module to
-    each value, so every normal is bit for bit the one the scalar
-    transform ``uniform_to_gaussian`` gives for its pair.
+    each value, so every normal is bit for bit the one a scalar transform
+    of its pair gives.
     """
 
     def __init__(self, generator: UniformGenerator):
         self.generator = generator
         self.zero_skips = 0
         self._spare: float | None = None
-
-    def next_gaussian(self) -> float:
-        return float(self.normals(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
         """The next n normals of the stream."""
@@ -180,16 +161,6 @@ def _simulate_payoffs(stream: GaussianStream, config: ToyModelConfig, paths: int
     return out
 
 
-def _estimate_from(payoffs: np.ndarray, config: ToyModelConfig) -> tuple[float, float]:
-    disc = math.exp(-config.discount_rate * config.horizon_steps)
-    estimate = disc * float(payoffs.mean())
-    if payoffs.size > 1:
-        se = disc * float(payoffs.std(ddof=1)) / math.sqrt(payoffs.size)
-    else:
-        se = 0.0
-    return estimate, se
-
-
 def mc_estimate(
     descriptor: str, seed: int, config: ToyModelConfig | None = None
 ) -> tuple[float, float]:
@@ -202,104 +173,21 @@ def mc_estimate(
         config = ToyModelConfig()
     stream = GaussianStream(make_generator(descriptor, seed=seed))
     payoffs = _simulate_payoffs(stream, config, config.paths)
-    return _estimate_from(payoffs, config)
+    disc = math.exp(-config.discount_rate * config.horizon_steps)
+    se = disc * float(payoffs.std(ddof=1)) / math.sqrt(config.paths)
+    return disc * float(payoffs.mean()), se
 
 
-@dataclass
-class SweepReport:
-    """Per-seed estimates plus the pairwise relative-delta table."""
-
-    descriptor: str
-    config: ToyModelConfig
-    seeds: list[int]
-    estimates: list[float]
-    standard_errors: list[float]
-    delta_pct: np.ndarray
-    max_abs_relative_delta: float = field(init=False)
-    max_pair: tuple[int, int] = field(init=False)
-    seed_effect_flag: bool = field(init=False)
-    sample_size_note: str = field(init=False)
-
-    def __post_init__(self):
-        est = np.asarray(self.estimates)
-        se = np.asarray(self.standard_errors)
-        ses = se.tolist()
-        best, (bi, bj) = 0.0, (0, 0)
-        flag = False
-        # one row at a time, so nothing beyond a row of the table is allocated
-        for i, se_i in enumerate(ses):
-            # the first largest |delta| off the diagonal, row by row; nan is
-            # never a maximum, and when none is positive (0, 0) names the
-            # first seed twice
-            d = np.abs(self.delta_pct[i])
-            d[i] = 0.0
-            d = np.where(d > 0.0, d, 0.0)
-            j = int(np.argmax(d))
-            if d[j] > best:
-                best, (bi, bj) = float(d[j]), (i, j)
-            if not flag:
-                # math.hypot per ordered pair, as the pair loop did: np.hypot
-                # can differ from it in the last bit, and nothing guarantees
-                # hypot(a, b) == hypot(b, a) bit for bit.  A seed never
-                # differs from itself, so the diagonal cannot trip the flag.
-                pooled = map(math.hypot, itertools.repeat(se_i), ses)
-                pooled = np.fromiter(pooled, np.float64, len(ses))
-                flag = bool(np.any(np.abs(est[i] - est) > 3.0 * pooled))
-        self.max_abs_relative_delta = best
-        self.max_pair = (self.seeds[bi], self.seeds[bj])
-        self.seed_effect_flag = flag
-        rel_se = float(np.mean(se / np.abs(est))) * 100 if np.all(est != 0) else float("nan")
-        self.sample_size_note = (
-            f"{self.config.paths} paths per seed; mean Monte Carlo error "
-            f"{rel_se:.2f}% of the estimate. Deltas within ~{3 * math.sqrt(2) * rel_se:.2f}% "
-            "are consistent with sampling noise alone."
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "config": asdict(self.config),
-            "per_seed": [
-                {"seed": s, "estimate": float(e), "standard_error": float(se)}
-                for s, e, se in zip(self.seeds, self.estimates, self.standard_errors)
-            ],
-            "delta_pct": [[float(x) for x in row] for row in self.delta_pct],
-            "max_abs_relative_delta": self.max_abs_relative_delta,
-            "max_pair": list(self.max_pair),
-            "seed_effect_flag": self.seed_effect_flag,
-            "sample_size_note": self.sample_size_note,
-        }
-
-    def to_text_table(self) -> str:
-        lines = [
-            f"Seed sweep: {self.descriptor} "
-            f"(paths={self.config.paths}, steps={self.config.horizon_steps})",
-            "",
-            f"{'seed':>10s}  {'estimate':>14s}  {'std.error':>12s}",
-        ]
-        for seed, est, se in zip(self.seeds, self.estimates, self.standard_errors):
-            lines.append(f"{seed:>10d}  {est:>14.8f}  {se:>12.8f}")
-        i, j = self.max_pair
-        lines += [
-            "",
-            f"Largest relative difference (seed {i} vs seed {j}):",
-            f"  Delta estimate [%]   {self.delta_pct[self.seeds.index(i), self.seeds.index(j)]:+.2f}",
-            f"Seed-effect flag: {'TRIPPED' if self.seed_effect_flag else 'not tripped'}"
-            " (threshold: 3 x pooled standard error)",
-            self.sample_size_note,
-        ]
-        return "\n".join(lines)
-
-
-def seed_sweep(
-    descriptor: str, seeds, config: ToyModelConfig | None = None
-) -> SweepReport:
-    """Run the model once per seed and tabulate pairwise relative deltas.
+def seed_sweep(descriptor: str, seeds, config: ToyModelConfig | None = None) -> TestResult:
+    """Run the model once per seed: the ``seed-effect`` record.
 
     delta[i, j] = (estimate_i - estimate_j) / estimate_j in percent.  The
-    seed-effect flag trips when any pair differs by more than three times
-    its pooled standard error -- dispersion Monte Carlo noise alone would
-    essentially never produce.
+    statistic is the largest |delta| off the diagonal.  The verdict is
+    ``reject`` when the seed-effect flag trips: some pair differs by more
+    than three times its pooled standard error -- dispersion Monte Carlo
+    noise alone would essentially never produce -- and ``pass`` otherwise.
+    ``detail`` holds the per-seed estimates, the delta table, the pair of
+    seeds with the largest |delta|, the flag and a note on sampling noise.
     """
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
@@ -308,12 +196,59 @@ def seed_sweep(
         raise ValueError("seeds must be distinct")
     if config is None:
         config = ToyModelConfig()
-    estimates, ses = [], []
-    for seed in seeds:
-        est, se = mc_estimate(descriptor, seed, config)
-        estimates.append(est)
-        ses.append(se)
-    return SweepReport(descriptor, config, seeds, estimates, ses, _delta_pct(estimates))
+    estimates, ses = zip(*(mc_estimate(descriptor, seed, config) for seed in seeds))
+    delta = _delta_pct(estimates)
+    best, (i, j), flag = _largest_delta(delta, estimates, ses)
+    est, se = np.asarray(estimates), np.asarray(ses)
+    rel_se = float(np.mean(se / np.abs(est))) * 100 if np.all(est != 0) else float("nan")
+    detail = {
+        "descriptor": descriptor,
+        "config": asdict(config),
+        "per_seed": [
+            {"seed": s, "estimate": e, "standard_error": err}
+            for s, e, err in zip(seeds, estimates, ses)
+        ],
+        "delta_pct": delta.tolist(),
+        "max_abs_relative_delta": best,
+        "max_pair": [seeds[i], seeds[j]],
+        "seed_effect_flag": flag,
+        "sample_size_note": (
+            f"{config.paths} paths per seed; mean Monte Carlo error "
+            f"{rel_se:.2f}% of the estimate. Deltas within ~{3 * math.sqrt(2) * rel_se:.2f}% "
+            "are consistent with sampling noise alone."
+        ),
+    }
+    return TestResult("seed-effect", best, None, None, detail, "reject" if flag else "pass")
+
+
+def _largest_delta(delta: np.ndarray, estimates, ses) -> tuple[float, tuple[int, int], bool]:
+    """(largest |delta| off the diagonal, its (row, column), seed-effect flag).
+
+    The first largest wins, row by row; nan is never a maximum, and when
+    none is positive (0, 0) names the first seed twice.  The flag trips
+    when some pair differs by more than 3 pooled standard errors.  The
+    table is read one row at a time, so nothing beyond a row of it is
+    allocated.
+    """
+    est = np.asarray(estimates)
+    best, pair = 0.0, (0, 0)
+    flag = False
+    for i, se_i in enumerate(ses):
+        d = np.abs(delta[i])
+        d[i] = 0.0
+        d = np.where(d > 0.0, d, 0.0)
+        j = int(np.argmax(d))
+        if d[j] > best:
+            best, pair = float(d[j]), (i, j)
+        if not flag:
+            # math.hypot per ordered pair, as the pair loop did: np.hypot
+            # can differ from it in the last bit, and nothing guarantees
+            # hypot(a, b) == hypot(b, a) bit for bit.  A seed never
+            # differs from itself, so the diagonal cannot trip the flag.
+            pooled = map(math.hypot, itertools.repeat(se_i), ses)
+            pooled = np.fromiter(pooled, np.float64, len(ses))
+            flag = bool(np.any(np.abs(est[i] - est) > 3.0 * pooled))
+    return best, pair, flag
 
 
 def _delta_pct(estimates) -> np.ndarray:
@@ -328,37 +263,3 @@ def _delta_pct(estimates) -> np.ndarray:
     zero = est == 0.0
     delta[:, zero] = np.where(zero, 0.0, np.inf)[:, None]
     return delta
-
-
-def convergence_report(
-    descriptor: str,
-    seed: int,
-    path_schedule,
-    config: ToyModelConfig | None = None,
-) -> list[tuple[int, float, float]]:
-    """Estimates at increasing path counts over one shared stream prefix.
-
-    The schedule must be non-decreasing; because every row reuses the
-    same stream prefix, the row at n paths is bit-identical to
-    ``mc_estimate`` run with ``paths=n``.
-    """
-    schedule = [int(p) for p in path_schedule]
-    if not schedule:
-        raise ValueError("empty path schedule")
-    if any(p < 1 for p in schedule):
-        raise ValueError("path counts must be >= 1")
-    if any(b < a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("path schedule must be non-decreasing")
-    if config is None:
-        config = ToyModelConfig()
-    stream = GaussianStream(make_generator(descriptor, seed=seed))
-    payoffs = np.empty(schedule[-1], dtype=np.float64)
-    done = 0
-    rows = []
-    for target in schedule:
-        if target > done:
-            payoffs[done:target] = _simulate_payoffs(stream, config, target - done)
-            done = target
-        est, se = _estimate_from(payoffs[:target], config)
-        rows.append((target, est, se))
-    return rows

@@ -224,14 +224,14 @@ def _enumerate_shortest(reduced, lam, d) -> list[int]:
     return best_vec
 
 
-def shortest_vector(basis) -> tuple[list[int], float]:
-    """Shortest nonzero lattice vector and its Euclidean length."""
+def shortest_vector(basis) -> list[int]:
+    """A shortest nonzero vector of the lattice spanned by ``basis``."""
     rows = [list(map(int, row)) for row in basis]
     if len(rows) == 2:
         vec = _lagrange_shortest(rows[0], rows[1])
     else:
         vec = _enumerate_shortest(*_lll_reduce(rows))
-    return vec, math.sqrt(_norm_sq(vec))
+    return vec
 
 
 def spectral_accuracy_sq(params: LcgParams, d: int) -> tuple[int, list[int]]:
@@ -240,7 +240,7 @@ def spectral_accuracy_sq(params: LcgParams, d: int) -> tuple[int, list[int]]:
     Independent of the increment and the seed: only modulus and
     multiplier enter the lattice.
     """
-    vec, _ = shortest_vector(dual_lattice_basis(params, d))
+    vec = shortest_vector(dual_lattice_basis(params, d))
     return _norm_sq(vec), vec
 
 

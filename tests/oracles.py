@@ -231,6 +231,26 @@ def fraction_lll_reduce(basis):
     return b
 
 
+class FixedUniforms:
+    """A stand-in generator that hands out the given uniforms in order,
+    through ``generate(n)`` or ``next_uniform()``, and fails once they run
+    out."""
+
+    def __init__(self, values):
+        self._values = [float(v) for v in values]
+        self._drawn = 0
+
+    def generate(self, n):
+        if self._drawn + n > len(self._values):
+            raise IndexError("the fixed uniforms are used up")
+        out = np.array(self._values[self._drawn:self._drawn + n], dtype=np.float64)
+        self._drawn += n
+        return out
+
+    def next_uniform(self):
+        return float(self.generate(1)[0])
+
+
 class ScalarGaussianStream:
     """Box-Muller one pair at a time from scalar draws: a u1 of exactly 0.0
     is skipped and counted, and the pair's second normal waits for the

@@ -257,13 +257,13 @@ def test_seed_dispersion_separates_generators():
     seeds = list(range(1, 31))
     reference = seed_sweep("mt:", seeds, config)
     degenerate = seed_sweep(POOR, seeds, config)
-    ratio = degenerate.max_abs_relative_delta / reference.max_abs_relative_delta
-    ok = degenerate.max_abs_relative_delta >= 2.0 * reference.max_abs_relative_delta
+    ratio = degenerate.statistic / reference.statistic
+    ok = degenerate.statistic >= 2.0 * reference.statistic
     _criterion(
         "seed-dispersion-separation",
         ok,
-        f"lcg {degenerate.max_abs_relative_delta:.1f}% vs "
-        f"mt {reference.max_abs_relative_delta:.1f}% (ratio {ratio:.2f})",
+        f"lcg {degenerate.statistic:.1f}% vs "
+        f"mt {reference.statistic:.1f}% (ratio {ratio:.2f})",
     )
 
 

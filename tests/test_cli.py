@@ -76,6 +76,14 @@ class TestGenerate:
         assert main(["generate", "mt:seed=9", "-n", "9000"]) == EXIT_PASS
         assert capsys.readouterr().out == target.read_text()
 
+    def test_stdout_values_are_an_output_job(self, capsys):
+        # run_command prints nothing; the values go out when the job runs
+        _, files, code, args = run_command(["generate", TINY, "-n", "4"])
+        assert (code, args.command, [p for p, _ in files]) == (EXIT_PASS, "generate", ["stdout"])
+        assert capsys.readouterr().out == ""
+        files[0][1]("stdout")
+        assert capsys.readouterr().out.splitlines()[1:] == ["0.6", "0.9", "0.0", "0.7"]
+
     def test_quiet_still_prints_the_payload(self, capsys):
         code = main(["generate", TINY, "-n", "2", "--quiet"])
         out = capsys.readouterr().out.splitlines()
@@ -344,6 +352,24 @@ class TestSweepCommand:
 
     def test_single_seed_is_usage_error(self, capsys):
         assert main(["sweep", "mt:", "--seeds", "5", "--quiet"]) == EXIT_USAGE
+
+    def test_single_path_is_usage_error(self, capsys):
+        # one path has no standard error, so it cannot judge a seed effect
+        code = main(["sweep", "mt:", "--seeds", "1..6", "--paths", "1", "--quiet"])
+        assert code == EXIT_USAGE
+        assert "paths must be >= 2" in capsys.readouterr().err
+
+    def test_infinite_delta_reads_n_a(self, tmp_path, capsys):
+        # seeds 1 and 4 pay nothing on 13 paths, so the deltas against them
+        # are infinite: null in the report, n/a in the table
+        out = tmp_path / "r.json"
+        code = main(["sweep", "wh:", "--seeds", "1..4", "--paths", "13", "--steps", "7",
+                     "--json", str(out)])
+        assert code == EXIT_PASS
+        assert "Delta estimate [%]   n/a\n" in capsys.readouterr().out
+        report = _load_report(out)
+        assert report["summary"]["max_abs_relative_delta"] is None
+        assert report["summary"]["max_pair"] == [2, 1]
 
     def test_every_model_flag_reaches_the_config(self, tmp_path):
         out = tmp_path / "r.json"

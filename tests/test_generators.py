@@ -80,12 +80,6 @@ class TestLcgParams:
         gen = make_generator(p.descriptor)
         assert gen.params == p
 
-    def test_with_seed(self):
-        p = LcgParams(100, 21, 1, 5)
-        q = p.with_seed(17)
-        assert q.seed == 17 and q.modulus == 100 and q.multiplier == 21
-        assert p.seed == 5
-
     @pytest.mark.parametrize(
         "m,a,c,seed",
         [

@@ -14,20 +14,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rngaudit import seedlab
+from rngaudit.cli import EXIT_REJECT, main
 from rngaudit.generators import _JUMP, make_generator
 from rngaudit.seedlab import (
     GaussianStream,
-    SweepReport,
     ToyModelConfig,
     _CHUNK_NORMALS,
     _delta_pct,
-    convergence_report,
+    _largest_delta,
     mc_estimate,
     seed_sweep,
-    uniform_to_gaussian,
 )
 
 from oracles import (
+    FixedUniforms,
     ScalarGaussianStream,
     closed_form_put,
     delta_table_loop,
@@ -50,6 +51,26 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
+def _box_muller(*uniforms):
+    """The normals that ``normals`` makes of exactly these uniforms."""
+    return GaussianStream(FixedUniforms(uniforms)).normals(len(uniforms)).tolist()
+
+
+def _scalar_normals(uniforms):
+    """The scalar oracle's normals of these uniforms, taken as pairs."""
+    oracle = ScalarGaussianStream(FixedUniforms(uniforms))
+    return [oracle.next_gaussian() for _ in uniforms]
+
+
+def _sweep_of(seeds, estimates, ses):
+    """``seed_sweep`` with each seed's (estimate, standard error) given
+    rather than simulated."""
+    pairs = dict(zip(seeds, zip(estimates, ses)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seedlab, "mc_estimate", lambda descriptor, seed, config: pairs[seed])
+        return seed_sweep("x:", seeds, SMALL)
+
+
 def _load_bench_reference():
     """bench/reference.py, the benchmark's own Box-Muller loop and streams,
     which import nothing from rngaudit."""
@@ -65,33 +86,29 @@ def _load_bench_reference():
 
 
 class TestUniformToGaussian:
+    """Closed-form points of the transform, through ``normals`` on fixed uniforms."""
+
     def test_closed_form_point(self):
         # -2 ln(e**-2) = 4, angle 0: radius 2 entirely on the cosine leg
-        z1, z2 = uniform_to_gaussian(math.exp(-2.0), 0.0)
+        z1, z2 = _box_muller(math.exp(-2.0), 0.0)
         assert z1 == pytest.approx(2.0, rel=REL)
         assert z2 == pytest.approx(0.0, abs=1e-15)
 
     def test_quarter_turn_moves_radius_to_second_leg(self):
-        z1, z2 = uniform_to_gaussian(math.exp(-2.0), 0.25)
+        z1, z2 = _box_muller(math.exp(-2.0), 0.25)
         assert z1 == pytest.approx(0.0, abs=1e-14)
         assert z2 == pytest.approx(2.0, rel=REL)
 
     def test_median_radius(self):
-        z1, _ = uniform_to_gaussian(0.5, 0.0)
+        z1, _ = _box_muller(0.5, 0.0)
         assert z1 == pytest.approx(math.sqrt(2.0 * math.log(2.0)), rel=REL)
-
-    @pytest.mark.parametrize("u1,u2", [(0.0, 0.5), (1.0, 0.5), (-0.1, 0.5),
-                                       (0.5, 1.0), (0.5, -0.01)])
-    def test_rejects_out_of_range_inputs(self, u1, u2):
-        with pytest.raises(ValueError):
-            uniform_to_gaussian(u1, u2)
 
     @given(
         u1=st.floats(1e-300, 1.0, exclude_max=True),
         u2=st.floats(0.0, 1.0, exclude_max=True),
     )
     def test_pair_radius_identity(self, u1, u2):
-        z1, z2 = uniform_to_gaussian(u1, u2)
+        z1, z2 = _box_muller(u1, u2)
         assert z1 * z1 + z2 * z2 == pytest.approx(-2.0 * math.log(u1), rel=1e-9)
 
 
@@ -100,37 +117,30 @@ class TestGaussianStream:
         # the 10-state generator emits 0.6, 0.9, 0.0, 0.7, 0.6, ...; the
         # zero lands in the u1 slot of the second pair and must be skipped
         s = GaussianStream(make_generator("lcg:m=10,a=7,c=7,seed=7"))
-        z = [s.next_gaussian() for _ in range(4)]
-        assert z[:2] == pytest.approx(uniform_to_gaussian(0.6, 0.9), rel=REL)
-        assert z[2:] == pytest.approx(uniform_to_gaussian(0.7, 0.6), rel=REL)
+        z = s.normals(4).tolist()
+        assert _bits(z) == _bits(_scalar_normals([0.6, 0.9, 0.7, 0.6]))
         assert s.zero_skips == 1
 
     def test_skip_counter_increments_at_the_skip(self):
         s = GaussianStream(make_generator("lcg:m=10,a=7,c=7,seed=7"))
-        s.next_gaussian()
-        s.next_gaussian()
+        s.normals(1)
+        s.normals(1)
         assert s.zero_skips == 0
-        s.next_gaussian()
+        s.normals(1)
         assert s.zero_skips == 1
 
     def test_pair_is_buffered(self):
         s = GaussianStream(make_generator("mt:seed=3"))
         reference = GaussianStream(make_generator("mt:seed=3"))
-        a = [s.next_gaussian() for _ in range(6)]
-        b = [reference.next_gaussian() for _ in range(6)]
-        assert a == b
+        a = [s.normals(1)[0] for _ in range(6)]
+        assert _bits(a) == _bits(reference.normals(6))
 
     def test_stream_matches_pairwise_transform(self):
-        g = make_generator("mt:seed=8")
-        u = g.generate(10)
+        u = make_generator("mt:seed=8").generate(10)
         s = GaussianStream(make_generator("mt:seed=8"))
-        expected = []
-        for i in range(0, 10, 2):
-            expected.extend(uniform_to_gaussian(u[i], u[i + 1]))
-        got = [s.next_gaussian() for _ in range(10)]
-        assert got == pytest.approx(expected, rel=REL)
+        assert _bits(s.normals(10)) == _bits(_scalar_normals(u))
 
-    # a draw sequence: "g" is one next_gaussian(), an int k is normals(k);
+    # a draw sequence: "g" is one normals(1), an int k is normals(k);
     # sizes are odd and even, and cross the 4096-value chunk edge
     CALLS = st.lists(
         st.one_of(st.just("g"), st.integers(0, 9),
@@ -147,10 +157,7 @@ class TestGaussianStream:
         stream = GaussianStream(make_generator(descriptor, seed=seed))
         got = []
         for call in calls:
-            if call == "g":
-                got.append(stream.next_gaussian())
-            else:
-                got.extend(stream.normals(call).tolist())
+            got.extend(stream.normals(1 if call == "g" else call).tolist())
         oracle = ScalarGaussianStream(make_generator(descriptor, seed=seed))
         want = [oracle.next_gaussian() for _ in got]
         assert _bits(got) == _bits(want)
@@ -191,6 +198,7 @@ class TestToyModelConfig:
             {"horizon_steps": 0},
             {"volatility": -0.1},
             {"strike_ratio": -0.5},
+            {"paths": 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -298,6 +306,15 @@ class TestMcEstimate:
         se = disc * float(want.std(ddof=1)) / math.sqrt(cfg.paths)
         assert _bits(got) == _bits((disc * float(want.mean()), se))
 
+    @pytest.mark.slow
+    def test_error_shrinks_like_root_n_over_decades(self):
+        scaled = []
+        for n in (1000, 10_000, 100_000):
+            _, se = mc_estimate("mt:", 77, ToyModelConfig(paths=n))
+            scaled.append(se * math.sqrt(n))
+        for a, b in zip(scaled, scaled[1:]):
+            assert a / b == pytest.approx(1.0, abs=0.25)
+
 
 # ---------------------------------------------------------------------------
 # seed sweeps
@@ -310,30 +327,38 @@ def sweep():
 
 class TestSeedSweep:
     def test_frozen_estimates(self, sweep):
-        assert sweep.estimates == pytest.approx(
+        per_seed = sweep.detail["per_seed"]
+        assert [r["estimate"] for r in per_seed] == pytest.approx(
             [0.004881332127538505, 0.006102751952918964, 0.004409203459941093],
             rel=REL,
         )
-        assert sweep.standard_errors == pytest.approx(
+        assert [r["standard_error"] for r in per_seed] == pytest.approx(
             [0.0010380395289193494, 0.0012326468150248148, 0.0010464203703844158],
             rel=REL,
         )
 
     def test_delta_matrix_definition(self, sweep):
-        est = sweep.estimates
+        est = [r["estimate"] for r in sweep.detail["per_seed"]]
+        delta = sweep.detail["delta_pct"]
         for i in range(3):
-            assert sweep.delta_pct[i, i] == 0.0
+            assert delta[i][i] == 0.0
             for j in range(3):
                 expected = (est[i] - est[j]) / est[j] * 100.0
-                assert sweep.delta_pct[i, j] == pytest.approx(expected, rel=REL)
+                assert delta[i][j] == pytest.approx(expected, rel=REL)
 
     def test_maximum_pair(self, sweep):
-        assert sweep.max_abs_relative_delta == pytest.approx(38.40939771467243, rel=REL)
-        assert sweep.max_pair == (2, 3)
-        assert sweep.seed_effect_flag is False
+        assert sweep.name == "seed-effect"
+        assert sweep.statistic == pytest.approx(38.40939771467243, rel=REL)
+        assert sweep.detail["max_abs_relative_delta"] == sweep.statistic
+        assert sweep.detail["max_pair"] == [2, 3]
+        assert sweep.detail["seed_effect_flag"] is False
+        assert sweep.verdict == "pass"
 
     def test_to_dict_round_trips_through_json(self, sweep):
-        d = json.loads(json.dumps(sweep.to_dict()))
+        r = json.loads(json.dumps(sweep.to_dict()))
+        assert r["name"] == "seed-effect" and r["verdict"] == "pass"
+        assert r["p_value"] is None and r["alpha"] is None
+        d = r["detail"]
         assert d["descriptor"] == "mt:"
         assert [p["seed"] for p in d["per_seed"]] == [1, 2, 3]
         assert d["per_seed"][0]["estimate"] == pytest.approx(
@@ -342,11 +367,12 @@ class TestSeedSweep:
         assert len(d["delta_pct"]) == 3 and len(d["delta_pct"][0]) == 3
         assert d["max_pair"] == [2, 3]
         assert d["seed_effect_flag"] is False
-        assert "paths" in d["config"]
+        assert d["config"] == asdict(SMALL)
         assert "sample_size_note" in d
 
-    def test_text_table_contents(self, sweep):
-        text = sweep.to_text_table()
+    def test_text_table_contents(self, capsys):
+        main(["sweep", "mt:", "--seeds", "1,2,3", "--paths", "200", "--steps", "20"])
+        text = capsys.readouterr().out
         assert "Delta estimate [%]" in text
         assert "+38.41" in text
         assert "not tripped" in text
@@ -354,35 +380,52 @@ class TestSeedSweep:
         for seed in (1, 2, 3):
             assert f"\n{seed:>10d}  " in text
 
-    def test_flag_trips_on_dispersion_beyond_pooled_error(self):
-        delta = np.array([[0.0, -50.0], [100.0, 0.0]])
-        rep = SweepReport(
-            descriptor="x:",
-            config=SMALL,
-            seeds=[1, 2],
-            estimates=[0.01, 0.02],
-            standard_errors=[1e-6, 1e-6],
-            delta_pct=delta,
-        )
-        assert rep.seed_effect_flag is True
-        assert rep.max_abs_relative_delta == 100.0
-        assert rep.max_pair == (2, 1)
-        assert "TRIPPED" in rep.to_text_table()
+    def test_flag_trips_on_dispersion_beyond_pooled_error(self, monkeypatch, capsys):
+        pairs = {1: (0.01, 1e-6), 2: (0.02, 1e-6)}
+        monkeypatch.setattr(seedlab, "mc_estimate", lambda descriptor, seed, config: pairs[seed])
+        rep = seed_sweep("x:", [1, 2], SMALL)
+        assert rep.verdict == "reject"
+        assert rep.detail["seed_effect_flag"] is True
+        assert rep.statistic == 100.0
+        assert rep.detail["max_pair"] == [2, 1]
+        assert rep.detail["delta_pct"] == [[0.0, -50.0], [100.0, 0.0]]
+        assert main(["sweep", "x:", "--seeds", "1,2"]) == EXIT_REJECT
+        assert "TRIPPED" in capsys.readouterr().out
 
     def test_zero_volatility_sweep_has_no_dispersion(self):
         cfg = ToyModelConfig(
             paths=50, horizon_steps=10, volatility=0.0, strike_ratio=1.2
         )
         rep = seed_sweep("mt:", [1, 2], cfg)
-        assert rep.max_abs_relative_delta == 0.0
-        assert rep.seed_effect_flag is False
+        assert rep.statistic == 0.0
+        assert rep.verdict == "pass"
 
     def test_all_zero_estimates_give_zero_deltas(self):
         cfg = replace(SMALL, strike_ratio=0.0, paths=50)
         rep = seed_sweep("mt:", [1, 2], cfg)
-        assert rep.estimates == [0.0, 0.0]
-        assert np.all(rep.delta_pct == 0.0)
-        assert rep.seed_effect_flag is False
+        assert [r["estimate"] for r in rep.detail["per_seed"]] == [0.0, 0.0]
+        assert rep.detail["delta_pct"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert rep.verdict == "pass"
+
+    def test_one_estimate_per_seed_from_one_stream_each(self, monkeypatch):
+        # mc_estimate(descriptor, seed, config) once per seed, in order, each
+        # drawing from exactly one GaussianStream
+        calls, streams = [], []
+
+        class RecordingStream(GaussianStream):
+            def __init__(self, generator):
+                super().__init__(generator)
+                streams.append(self)
+
+        def recording_estimate(descriptor, seed, config):
+            calls.append((descriptor, seed, config))
+            return mc_estimate(descriptor, seed, config)
+
+        monkeypatch.setattr(seedlab, "GaussianStream", RecordingStream)
+        monkeypatch.setattr(seedlab, "mc_estimate", recording_estimate)
+        seed_sweep(ZERO_SKIP_LCG, [7, 3], SMALL)
+        assert calls == [(ZERO_SKIP_LCG, 7, SMALL), (ZERO_SKIP_LCG, 3, SMALL)]
+        assert len(streams) == 2 and streams[0].zero_skips > 0
 
     def test_rejects_fewer_than_two_seeds(self):
         with pytest.raises(ValueError, match="two seeds"):
@@ -412,11 +455,14 @@ class TestSweepTableAgainstLoops:
             ses = data.draw(st.lists(st.sampled_from((0.0, 1e-3, 2e-3, 5e-3)),
                                      min_size=n, max_size=n))
         seeds = [10 * i + 3 for i in range(n)]
-        delta = _delta_pct(estimates)
-        assert _bits(delta) == _bits(delta_table_loop(estimates))
-        rep = SweepReport("x:", SMALL, seeds, estimates, ses, delta)
-        want = sweep_pairs_loop(seeds, estimates, ses, delta)
-        assert (rep.max_abs_relative_delta, rep.max_pair, rep.seed_effect_flag) == want
+        rep = _sweep_of(seeds, estimates, ses)
+        delta = delta_table_loop(estimates)
+        assert _bits(rep.detail["delta_pct"]) == _bits(delta)
+        best, pair, flag = sweep_pairs_loop(seeds, estimates, ses, delta)
+        assert _bits([rep.statistic]) == _bits([best])
+        assert tuple(rep.detail["max_pair"]) == pair
+        assert rep.detail["seed_effect_flag"] is flag
+        assert rep.verdict == ("reject" if flag else "pass")
 
     @given(data=st.data(), n=st.integers(2, 6))
     @settings(max_examples=200, deadline=None)
@@ -427,10 +473,8 @@ class TestSweepTableAgainstLoops:
         estimates = data.draw(st.lists(st.sampled_from((0.01, 0.02, 0.05)),
                                        min_size=n, max_size=n))
         ses = [2e-3] * n
-        seeds = list(range(100, 100 + n))
-        rep = SweepReport("x:", SMALL, seeds, estimates, ses, delta)
-        want = sweep_pairs_loop(seeds, estimates, ses, delta)
-        assert (rep.max_abs_relative_delta, rep.max_pair, rep.seed_effect_flag) == want
+        want = sweep_pairs_loop(list(range(n)), estimates, ses, delta)
+        assert _largest_delta(delta, estimates, ses) == want
 
     def test_table_is_the_only_square_array(self):
         # the delta table is n x n; building it and summarising it must not
@@ -447,56 +491,9 @@ class TestSweepTableAgainstLoops:
             table_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            SweepReport("x:", SMALL, list(range(n)), estimates, ses, delta)
-            report_peak = tracemalloc.get_traced_memory()[1] - before
+            _largest_delta(delta, estimates, ses)
+            summary_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert table_peak < square + 256 * 1024
-        assert report_peak < 256 * 1024
-
-
-# ---------------------------------------------------------------------------
-# convergence
-
-
-class TestConvergenceReport:
-    def test_rows_match_standalone_estimates(self):
-        rows = convergence_report("mt:", 9, [50, 120, 200], SMALL)
-        assert [n for n, _, _ in rows] == [50, 120, 200]
-        for n, est, se in rows:
-            assert (est, se) == mc_estimate("mt:", 9, replace(SMALL, paths=n))
-
-    def test_rows_across_chunk_edges_with_odd_steps(self):
-        # 81 steps: paths are simulated 50 at a time, and every odd path
-        # count leaves a spare normal that the next row's first path uses
-        cfg = ToyModelConfig(horizon_steps=81)
-        schedule = [1, 49, 50, 51, 100, 101, 151]
-        for descriptor, seed in (("mt:", 9), (ZERO_SKIP_LCG, 7), ("wh:", 2)):
-            rows = convergence_report(descriptor, seed, schedule, cfg)
-            oracle = ScalarGaussianStream(make_generator(descriptor, seed=seed))
-            payoffs = scalar_payoffs(oracle, cfg, schedule[-1])
-            disc = math.exp(-cfg.discount_rate * 81)
-            for n, est, se in rows:
-                assert (est, se) == mc_estimate(descriptor, seed, replace(cfg, paths=n))
-                want_se = disc * float(payoffs[:n].std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-                assert _bits((est, se)) == _bits((disc * float(payoffs[:n].mean()), want_se))
-
-    def test_repeated_count_reuses_the_prefix(self):
-        rows = convergence_report("mt:", 9, [200, 200], SMALL)
-        assert rows[0] == rows[1]
-
-    def test_single_entry_schedule(self):
-        rows = convergence_report("mt:", 9, [200], SMALL)
-        assert rows[0] == (200, *mc_estimate("mt:", 9, SMALL))
-
-    @pytest.mark.parametrize("schedule", [[], [0, 10], [100, 50]])
-    def test_rejects_bad_schedules(self, schedule):
-        with pytest.raises(ValueError):
-            convergence_report("mt:", 9, schedule, SMALL)
-
-    @pytest.mark.slow
-    def test_error_shrinks_like_root_n_over_decades(self):
-        rows = convergence_report("mt:", 77, [1000, 10_000, 100_000])
-        scaled = [se * math.sqrt(n) for n, _, se in rows]
-        for a, b in zip(scaled, scaled[1:]):
-            assert a / b == pytest.approx(1.0, abs=0.25)
+        assert summary_peak < 256 * 1024

@@ -94,24 +94,21 @@ class TestDualBasis:
 class TestShortestVector:
     def test_two_dimensional_hand_lattice(self):
         # lattice of (10, 0) and (-7, 1): minimum at (3, 1) or (-1, 3)
-        vec, length = shortest_vector([[10, 0], [-7, 1]])
+        vec = shortest_vector([[10, 0], [-7, 1]])
         assert sum(x * x for x in vec) == 10
-        assert length == pytest.approx(math.sqrt(10), rel=REL)
 
     def test_three_dimensional_hand_lattice(self):
         # (4,0,0), (1,1,0), (0,1,1): no unit vector exists, norm 2 does
-        vec, length = shortest_vector([[4, 0, 0], [1, 1, 0], [0, 1, 1]])
+        vec = shortest_vector([[4, 0, 0], [1, 1, 0], [0, 1, 1]])
         assert sum(x * x for x in vec) == 2
-        assert length == pytest.approx(math.sqrt(2), rel=REL)
 
     def test_identity_lattice(self):
-        vec, length = shortest_vector([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        vec = shortest_vector([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert sum(x * x for x in vec) == 1
-        assert length == 1.0
 
     def test_scaled_identity(self):
-        _, length = shortest_vector([[5, 0], [0, 5]])
-        assert length == 5.0
+        vec = shortest_vector([[5, 0], [0, 5]])
+        assert math.sqrt(sum(x * x for x in vec)) == 5.0
 
     @pytest.mark.parametrize("rows", [
         [[1, 2, 3], [2, 4, 6], [0, 0, 1]],   # second row dependent
