@@ -18,6 +18,8 @@ import pathlib
 from rngaudit.cli import FIGURE_DESCRIPTOR
 from rngaudit.generators import make_generator
 from rngaudit.spectral import (
+    export_cloud_csv,
+    export_cloud_svg,
     plane_membership,
     point_cloud,
     spectral_accept,
@@ -42,13 +44,10 @@ def run_one(descriptor: str, out_dir: pathlib.Path, n_values: int) -> None:
     sample = gen.sample(min(gen.params.modulus, n_values))
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = out_dir / descriptor.split(":")[1].replace(",", "_").replace("=", "")
-    from rngaudit.spectral import export_cloud_csv, export_cloud_svg
-
     pairs = point_cloud(sample, 2)
     triples = point_cloud(sample, 3)
-    export_cloud_csv(pairs, f"{stem}-pairs.csv")
+    export_cloud_csv([pairs, triples], [f"{stem}-pairs.csv", f"{stem}-triples.csv"])
     export_cloud_svg(pairs, f"{stem}-pairs.svg")
-    export_cloud_csv(triples, f"{stem}-triples.csv")
     print(f"wrote {stem}-pairs.csv / .svg and {stem}-triples.csv "
           f"({len(pairs)} pairs)")
 

@@ -18,9 +18,8 @@ from .generators import (
     full_period_predicate,
     brute_force_period,
     make_generator,
-    save_sample,
-    load_sample,
 )
+from .io import save_sample, load_sample
 from .battery import BatteryConfig, BatteryReport, run_battery
 from .spectral import (
     spectral_accuracy,

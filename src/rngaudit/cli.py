@@ -41,12 +41,10 @@ from .generators import (
     Lcg,
     brute_force_period,
     full_period_predicate,
-    load_sample,
     make_generator,
-    sample_lines,
-    save_sample,
-    _atomic_write_text,
 )
+from .io import atomic_write_text as _atomic_write_text
+from .io import load_sample, sample_lines, save_sample
 from .seedlab import ToyModelConfig, seed_sweep
 from .spectral import (
     MAX_DIM,
@@ -312,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 # file jobs) and writes nothing, so reports can be rebuilt from their
 # manifest without touching the filesystem.  run_command turns that into
 # the report, its summary verdict and the exit code.  File jobs are
-# (path, write) pairs; main() calls write(path) for each after the report
+# (target, write) pairs, the target a path or a tuple of the paths one
+# job writes; main() calls write(target) for each after the report
 # exists.  The human-readable summary prints from the report alone.
 
 
@@ -384,23 +383,27 @@ def _run_test(args):
 
 def _cloud_jobs(gen, dims, path):
     """Sample ``gen``, build its point clouds of dimensions ``dims`` and
-    queue their exports: a CSV of each, and an SVG of the pairs.  ``path(d,
-    ext)`` names each file.  Returns the sample size, one ``pass`` record
-    per file (named after it; statistic and ``rows`` the rows written, for
-    the SVG the points it draws) and the (path, write) jobs."""
+    queue their exports: the CSVs of all of them in one job, and an SVG of
+    the pairs.  ``path(d, ext)`` names each file.  Returns the sample
+    size, one ``pass`` record per file (named after it; statistic and
+    ``rows`` the rows written, for the SVG the points it draws) and the
+    jobs."""
     n_values = min(gen.params.modulus, 1 << 18) if isinstance(gen, Lcg) else 1 << 17
     sample = gen.sample(n_values)
-    jobs = []
-    for d in dims:
-        cloud = point_cloud(sample, d)
-        jobs.append((path(d, "csv"), lambda p, c=cloud: export_cloud_csv(c, p), len(cloud)))
-        if d == 2:
-            jobs.append((path(d, "svg"), lambda p, c=cloud: export_cloud_svg(c, p),
-                         len(thin(cloud.points, SVG_MAX_POINTS))))
+    clouds = [point_cloud(sample, d) for d in dims]
+    csvs = tuple(path(c.dimension, "csv") for c in clouds)
+    jobs = [(csvs, lambda paths: export_cloud_csv(clouds, paths))]
+    files = []
+    for csv, cloud in zip(csvs, clouds):
+        files.append((csv, len(cloud)))
+        if cloud.dimension == 2:
+            svg = path(2, "svg")
+            files.append((svg, len(thin(cloud.points, SVG_MAX_POINTS))))
+            jobs.append((svg, lambda p, c=cloud: export_cloud_svg(c, p)))
     records = [TestResult(p.rsplit("/", 1)[-1], float(rows), None, None,
                           {"path": p, "rows": rows}, "pass")
-               for p, _, rows in jobs]
-    return n_values, records, [(p, write) for p, write, _ in jobs]
+               for p, rows in files]
+    return n_values, records, jobs
 
 
 def _run_spectral(args):
@@ -416,7 +419,7 @@ def _run_spectral(args):
         _, written, files = _cloud_jobs(make_generator(args.descriptor), [args.cloud],
                                         lambda d, ext: f"{args.cloud_out}-d{d}.{ext}")
         records += written
-        summary["files"] = [p for p, _ in files]
+        summary["files"] = [r.detail["path"] for r in written]
     config = {"dmax": args.dmax, "cloud": args.cloud}
     return args.descriptor, config, records, summary, files
 
@@ -473,7 +476,7 @@ def _run_figures(args):
     out = args.out_dir.rstrip("/") or "."
     n_values, records, files = _cloud_jobs(gen, [2, 3],
                                            lambda d, ext: f"{out}/{_CLOUD_NAMES[d]}.{ext}")
-    summary = {"n_values": n_values, "files": [p for p, _ in files]}
+    summary = {"n_values": n_values, "files": [r.detail["path"] for r in records]}
     config = {"out_dir": out, "n_values": n_values}
     return gen.descriptor, config, records, summary, files
 
@@ -576,8 +579,8 @@ def main(argv=None) -> int:
         datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     )
     try:
-        for path, write in files:
-            write(path)
+        for target, write in files:
+            write(target)
         if args.json:
             _atomic_write_text(args.json, canonical_json(report) + "\n")
     except OSError as exc:

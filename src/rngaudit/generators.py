@@ -18,18 +18,13 @@ them reads the same stream.
 The module also owns period analysis for the LCG family -- a
 full-period test based on the classical increment/multiplier
 divisibility conditions, plus a brute-force cycle finder that serves as
-its independent check -- and the plain-text sample file format used by
-the command line tools.
+its independent check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import re
-import tempfile
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,16 +40,12 @@ __all__ = [
     "full_period_predicate",
     "brute_force_period",
     "make_generator",
-    "save_sample",
-    "sample_lines",
-    "load_sample",
     "WH_AS183_MODULI",
     "WH_AS183_MULTIPLIERS",
 ]
 
 DEFAULT_FACTOR_BOUND = 10**7
 GENERATOR_KINDS = ("lcg", "wh", "mt")
-SAMPLE_HEADER_PREFIX = "# rngaudit-sample v1"
 
 
 class FactorizationError(Exception):
@@ -455,91 +446,6 @@ class Sample:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-def _atomic_write_text(path, chunks) -> None:
-    """Write text via a temp file and rename, so readers never see halves.
-
-    ``chunks`` is one str or an iterable of str pieces, written in order,
-    so a large file never has to exist as one string.
-    """
-    if isinstance(chunks, str):
-        chunks = (chunks,)
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rngaudit-tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-# Text writers convert this many values to Python floats at a time; a
-# whole large array at once would hold a second copy of it next to its lines.
-_TEXT_BLOCK = 1 << 12
-
-
-def sample_lines(sample: Sample):
-    """The sample file's text in pieces: the provenance header line, then
-    one decimal value per line, _TEXT_BLOCK lines per piece."""
-    yield f"{SAMPLE_HEADER_PREFIX} {sample.provenance}\n"
-    values = sample.values
-    for start in range(0, values.size, _TEXT_BLOCK):
-        yield "".join([f"{v!r}\n" for v in values[start:start + _TEXT_BLOCK].tolist()])
-
-
-def save_sample(sample: Sample, path) -> None:
-    """Write one decimal value per line, preceded by a provenance header."""
-    _atomic_write_text(path, sample_lines(sample))
-
-
-def load_sample(path) -> Sample:
-    """Read a sample file: one value per line, parsed by numpy in one pass.
-
-    Blank lines and lines that start with '#' are skipped anywhere; the
-    last provenance header names the sample.  A line that is not one
-    number raises ``path:line: not a number: '...'``.
-    """
-    provenance = "external file"
-    inline_comment = False
-    with open(path) as fh:
-        text = fh.read()
-    for match in re.finditer(r"#.*", text):
-        head = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        inline_comment |= bool(head) and not head.isspace()
-        tail = match[0][len(SAMPLE_HEADER_PREFIX):].strip()
-        if match[0].startswith(SAMPLE_HEADER_PREFIX) and tail:
-            provenance = tail
-    del text  # numpy reads the file itself, in chunks
-    try:
-        if inline_comment:
-            raise ValueError("a '#' inside a value line")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file without values
-            values = np.loadtxt(path, dtype=np.float64, comments="#", ndmin=2)
-        if values.shape[1] > 1:
-            raise ValueError("more than one value on a line")
-    except ValueError as exc:
-        raise ValueError(_bad_line(path) or f"{path}: {exc}") from None
-    return Sample(values[:, 0], provenance=provenance)
-
-
-def _bad_line(path) -> str | None:
-    """The error for the first line of the file that is neither blank, a
-    comment nor a number, if there is one."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                try:
-                    float(line)
-                except ValueError:
-                    return f"{path}:{lineno}: not a number: {line!r}"
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import _TEXT_BLOCK, LcgParams, _atomic_write_text
+from .generators import LcgParams
+from .io import TEXT_BLOCK, atomic_files, atomic_write_text
 from .stats import TestResult, _values
 
 __all__ = [
@@ -328,7 +329,8 @@ def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> PointCloud:
     A sample of n values yields n - d + 1 tuples.  Above ``cap`` tuples
     the cloud is thinned by stride sampling (every k-th tuple) to stay
     plottable; the stride is recorded nowhere else, so exact tuple
-    counts matter only below the cap.
+    counts matter only below the cap.  The points are a read-only view
+    of the sample's values, not a copy.
     """
     if d not in (2, 3):
         raise ValueError("point clouds support dimensions 2 and 3")
@@ -336,7 +338,7 @@ def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> PointCloud:
     if values.size < d:
         raise ValueError("sample shorter than the tuple dimension")
     pts = np.lib.stride_tricks.sliding_window_view(values, d)
-    return PointCloud(d, np.array(thin(pts, cap)))
+    return PointCloud(d, thin(pts, cap))
 
 
 def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dict:
@@ -351,7 +353,9 @@ def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dic
     u = np.asarray(dual_vector, dtype=np.float64)
     if u.shape != (cloud.dimension,):
         raise ValueError("dual vector dimension mismatch")
-    t = cloud.points @ u
+    # a contiguous copy takes the BLAS product whatever the cloud's strides,
+    # so the offsets do not depend on whether the cloud is a view
+    t = np.ascontiguousarray(cloud.points) @ u
     frac = t - np.floor(t)
     offset = float(frac[0])
     dev = np.abs(frac - offset)
@@ -366,26 +370,41 @@ def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dic
     }
 
 
-def export_cloud_csv(cloud: PointCloud, path) -> int:
-    """Write the cloud as CSV with header x1,x2[,x3]; returns the row count.
+def export_cloud_csv(clouds, paths) -> int:
+    """Write each cloud as CSV with header x1,x2[,x3]; returns the rows written.
 
-    Each cell is ``repr`` of its value.  A window cloud holds each sample
-    value in d cells, so each block of rows formats its distinct values
-    once, keyed by their bits (``-0.0`` and ``0.0``, or two NaNs, keep
-    their own text), and builds its rows from those strings.
+    ``clouds`` and ``paths`` are one cloud and one path, or equal-length
+    lists of them.  Each cell is ``repr`` of its value.  The files are
+    written together, TEXT_BLOCK rows of every cloud at a time: clouds of
+    one sample hold each value in several cells, so each block formats
+    the distinct values of all its clouds once, keyed by their bits
+    (``-0.0`` and ``0.0``, or two NaNs, keep their own text), and builds
+    every file's rows from those strings.  Each file appears whole or
+    not at all.
     """
-    pts = cloud.points
-
-    def chunks():
-        yield ",".join(f"x{i + 1}" for i in range(cloud.dimension)) + "\n"
-        for start in range(0, len(pts), _TEXT_BLOCK):
-            block = pts[start:start + _TEXT_BLOCK]
-            bits, cell = np.unique(block.view(np.uint64), return_inverse=True)
+    if isinstance(clouds, PointCloud):
+        clouds, paths = [clouds], [paths]
+    if len(clouds) != len(paths):
+        raise ValueError("need one path per cloud")
+    rows = max((len(c) for c in clouds), default=0)
+    with atomic_files(paths) as handles:
+        for fh, cloud in zip(handles, clouds):
+            fh.write(",".join(f"x{i + 1}" for i in range(cloud.dimension)) + "\n")
+        for start in range(0, rows, TEXT_BLOCK):
+            blocks = [c.points[start:start + TEXT_BLOCK] for c in clouds]
+            cells = np.concatenate([b.reshape(-1) for b in blocks])
+            bits, index = np.unique(cells.view(np.uint64), return_inverse=True)
             text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            yield "\n".join(map(",".join, text[cell.reshape(block.shape)].tolist())) + "\n"
-
-    _atomic_write_text(path, chunks())
-    return len(cloud)
+            end = 0
+            for fh, block in zip(handles, blocks):
+                cell = index[end:end + block.size].reshape(block.shape)
+                end += block.size
+                if len(block):
+                    # a list of cells per column, zipped into rows: faster
+                    # than a list per row
+                    columns = [text[col].tolist() for col in cell.T]
+                    fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    return sum(len(c) for c in clouds)
 
 
 SVG_SIZE = 800
@@ -406,8 +425,8 @@ def export_cloud_svg(cloud: PointCloud, path, max_points: int = SVG_MAX_POINTS) 
     def chunks():
         yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
                f'viewBox="0 0 {s} {s}">\n<rect width="{s}" height="{s}" fill="white"/>\n')
-        for start in range(0, len(pts), _TEXT_BLOCK):
-            block = pts[start:start + _TEXT_BLOCK]
+        for start in range(0, len(pts), TEXT_BLOCK):
+            block = pts[start:start + TEXT_BLOCK]
             # numpy's rounding (scale, rint, unscale), not Python's correctly rounded round()
             cxs = np.round(block[:, 0] * s, 2).tolist()
             cys = np.round(s - block[:, 1] * s, 2).tolist()
@@ -415,5 +434,5 @@ def export_cloud_svg(cloud: PointCloud, path, max_points: int = SVG_MAX_POINTS) 
                            for cx, cy in zip(cxs, cys)])
         yield "</svg>\n"
 
-    _atomic_write_text(path, chunks())
+    atomic_write_text(path, chunks())
     return int(pts.shape[0])

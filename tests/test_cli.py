@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import jsonschema
@@ -23,7 +24,8 @@ from rngaudit.cli import (
     run_command,
     _parse_seeds,
 )
-from rngaudit.generators import load_sample, make_generator
+from rngaudit.generators import make_generator
+from rngaudit.io import load_sample
 
 POOR = "lcg:m=262144,a=4649,c=819,seed=1"
 GOOD = "lcg:m=2147483647,a=742938285,c=0,seed=1"
@@ -464,6 +466,16 @@ class TestFiguresCommand:
                      str(tmp_path / "missing" / "deep"), "--quiet"])
         assert code == EXIT_IO
         assert "I/O error" in capsys.readouterr().err
+
+    def test_unwritable_target_leaves_no_temp_files(self, tmp_path, capsys):
+        # triples.csv is a directory, so its rename fails once both CSVs
+        # are written to their temporary files
+        (tmp_path / "triples.csv").mkdir()
+        code = main(["figures", SMALL, "--out-dir", str(tmp_path), "--quiet"])
+        assert code == EXIT_IO
+        assert "I/O error" in capsys.readouterr().err
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".rngaudit-tmp-")]
+        assert os.listdir(tmp_path / "triples.csv") == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rngaudit.generators import LcgParams, make_generator, save_sample
+from rngaudit.generators import LcgParams, make_generator
+from rngaudit.io import save_sample
 from rngaudit.spectral import (
     _lll_reduce,
     _round_half_even,
@@ -340,6 +342,14 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="shorter"):
             point_cloud(np.array([0.5, 0.6]), 3)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_points_are_a_read_only_view_of_the_sample(self, d):
+        v = make_generator("mt:seed=3").generate(1000)
+        for cap in (10**6, 100):  # a window and a thinned window
+            cloud = point_cloud(v, d, cap=cap)
+            assert np.shares_memory(cloud.points, v)
+            assert not cloud.points.flags.writeable
+
     def test_cloud_shape_validation(self):
         with pytest.raises(ValueError, match="dimension"):
             PointCloud(3, np.zeros((5, 2)))
@@ -440,46 +450,63 @@ class TestExports:
         assert (tmp_path / "s.txt").read_text() == "\n".join(lines) + "\n"
 
     @given(pool=st.lists(CLOUD_VALUES, min_size=1, max_size=12),
-           kind=st.sampled_from(["window", "thinned", "free"]),
-           d=st.sampled_from([2, 3]), rows=st.integers(1, 4200),
-           stride=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-    @example(pool=[0.0, -0.0], kind="window", d=2, rows=4100, stride=0, seed=1)
+           specs=st.lists(st.tuples(st.sampled_from(["window", "thinned", "free"]),
+                                    st.sampled_from([2, 3]), st.integers(1, 4200),
+                                    st.integers(0, 2)), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(pool=[0.0, -0.0], specs=[("window", 2, 4100, 0)], seed=1)
+    @example(pool=[0.0, -0.0, 0.5], specs=[("window", 2, 4100, 0), ("window", 3, 4099, 0),
+                                          ("free", 3, 7, 0)], seed=2)
     @settings(max_examples=60, deadline=None)
-    def test_csv_equals_per_element_repr(self, pool, kind, d, rows, stride, seed,
-                                         tmp_path_factory):
-        # a few values drawn again and again, so rows repeat within blocks
-        # and across the 4096-row block edge
+    def test_csv_equals_per_element_repr(self, pool, specs, seed, tmp_path_factory):
+        # one call writes up to three clouds of different kinds and lengths,
+        # all drawn from a few values again and again, so cells repeat within
+        # blocks, across clouds and across the 4096-row block edge
         rng = np.random.default_rng(seed)
-        draw = np.array(pool)[rng.integers(len(pool), size=rows * d)]
-        if kind == "window":
-            cloud = point_cloud(draw[:rows + d - 1], d)
-        elif kind == "thinned":  # stride >= d: no value shared between rows
-            cloud = point_cloud(draw[:rows + d - 1], d, cap=max(1, rows // (d + stride)))
-        else:  # a hand-built cloud that is no window
-            cloud = PointCloud(d, draw.reshape(rows, d))
-        path = tmp_path_factory.mktemp("csv") / "c.csv"
-        assert export_cloud_csv(cloud, path) == len(cloud)
-        header = ",".join(f"x{i + 1}" for i in range(d))
-        want = [header, *(",".join(repr(float(v)) for v in row) for row in cloud.points), ""]
-        got = path.read_text().split("\n")
-        # the first differing line, not a diff of the whole text, which
-        # pytest would rebuild for every example hypothesis shrinks
-        assert len(got) == len(want)
-        assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                    None) is None
+        draw = np.array(pool)[rng.integers(len(pool), size=3 * 4200)]
+        clouds = []
+        for kind, d, rows, stride in specs:
+            if kind == "window":
+                clouds.append(point_cloud(draw[:rows + d - 1], d))
+            elif kind == "thinned":  # stride >= d: no value shared between rows
+                clouds.append(point_cloud(draw[:rows + d - 1], d,
+                                          cap=max(1, rows // (d + stride))))
+            else:  # a hand-built cloud that is no window
+                clouds.append(PointCloud(d, draw[:rows * d].reshape(rows, d)))
+        out = tmp_path_factory.mktemp("csv")
+        paths = [out / f"c{i}.csv" for i in range(len(clouds))]
+        assert export_cloud_csv(clouds, paths) == sum(map(len, clouds))
+        for cloud, path in zip(clouds, paths):
+            header = ",".join(f"x{i + 1}" for i in range(cloud.dimension))
+            want = [header, *(",".join(repr(float(v)) for v in row) for row in cloud.points),
+                    ""]
+            got = path.read_text().split("\n")
+            # the first differing line, not a diff of the whole text, which
+            # pytest would rebuild for every example hypothesis shrinks
+            assert len(got) == len(want)
+            assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                        None) is None
+
+    def test_csv_takes_one_path_per_cloud(self, tmp_path):
+        cloud = point_cloud(np.linspace(0, 0.9, 10), 2)
+        with pytest.raises(ValueError, match="one path per cloud"):
+            export_cloud_csv([cloud, cloud], [tmp_path / "a.csv"])
+        assert os.listdir(tmp_path) == []
 
     def test_csv_memory_stays_per_block(self, tmp_path):
-        # formatting the whole cloud's distinct values at once would hold
-        # megabytes of inverse indices and strings
+        # formatting the whole clouds' distinct values at once would hold
+        # megabytes of inverse indices and strings; the figures call writes
+        # the pairs and triples of one 2**18-value sample together
         values = make_generator("lcg:m=262144,a=4649,c=819,seed=1").sample(2**18 + 2)
-        cloud = point_cloud(values, 3)
-        assert len(cloud) == 2**18
+        pairs, triples = point_cloud(values, 2), point_cloud(values, 3)
+        assert (len(pairs), len(triples)) == (2**18 + 1, 2**18)
         tracemalloc.start()
         try:
-            export_cloud_csv(cloud, tmp_path / "t.csv")
+            rows = export_cloud_csv([pairs, triples], [tmp_path / "p.csv", tmp_path / "t.csv"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert rows == 2**19 + 1
         assert peak < 2 * 2**20
 
     def test_svg_is_two_dimensional_only(self, tmp_path):
