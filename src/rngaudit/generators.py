@@ -4,16 +4,20 @@ Three families are provided: the plain linear congruential generator
 (LCG), a combined three-stream LCG built on the AS 183 constants of
 Wichmann and Hill (1982), and a 32-bit Mersenne Twister used as the
 reference generator.  Each family produces its stream in one place, a
-block method: an LCG steps once from its state, doubles the states it
-has by jumping each ahead from the one 1, 2, 4, ... steps before it, and
-from 4096 states on jumps each later state ahead from the one 4096
-steps before it (Knuth, TAOCP vol. 2, 3.2.1): in uint64 arrays for
-moduli up to 2**32, where the jump cannot overflow, and in arrays of
-Python integers, which are arbitrary precision, above that.  A uniform
-is one exact integer state divided by the modulus, correctly rounded,
-and always lies in [0, 1).  Bulk and scalar draws are both served from
-one buffer of block values in the base class, so any interleaving of
-them reads the same stream.
+block method that returns exactly the values asked for.  An LCG block
+continues from the last 4096 states of the stream (the seed alone at
+first): it doubles the states it has by jumping each ahead from the one
+1, 2, 4, ... steps before it, and from 4096 states on jumps each later
+state ahead from the one 4096 steps before it (Knuth, TAOCP vol. 2,
+3.2.1), so a later block takes one array op per 4096 states: in uint64
+arrays for moduli up to 2**32, where the jump cannot overflow, and in
+arrays of Python integers, which are arbitrary precision, above that.
+A uniform is one exact integer state divided by the modulus, correctly
+rounded, and always lies in [0, 1).  The Mersenne Twister is seeded by
+this module's own ``init_genrand`` and draws its words from CPython's C
+twister, ``random.Random``, loaded with that state.  Bulk and scalar
+draws are both served from one buffer of block values in the base
+class, so any interleaving of them reads the same stream.
 
 The module also owns period analysis for the LCG family -- a
 full-period test based on the classical increment/multiplier
@@ -25,7 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,8 +96,8 @@ class LcgParams:
 
 # The longest jump of a bulk LCG draw: once this many states are filled,
 # every later one is the state this many steps before it, jumped ahead in
-# one array op.  A scalar draw on an empty buffer refills it with a block
-# of this size.
+# one array op.  An LCG keeps this many latest states to continue from, and
+# a scalar draw on an empty buffer refills it with a block of this size.
 _JUMP = 1 << 12
 
 
@@ -106,33 +111,33 @@ def _jump_constants(m: int, a: int, c: int, k: int) -> tuple[int, int]:
     return pow(a, k, m), c * geometric % m
 
 
-def _lcg_states(m: int, a: int, c: int, y: int, n: int) -> tuple[np.ndarray, int]:
-    """The n states after y of y' = (a y + c) mod m, and the last of them
-    (y itself when n = 0).
+def _lcg_states(m: int, a: int, c: int, tail, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n states after ``tail`` of y' = (a y + c) mod m, and the new tail.
 
-    The first state is one step from y; the states filled so far then
-    double by jumping each ahead d = min(filled, _JUMP) steps from the one
-    d before it, so no array op touches more than _JUMP states.  The array
-    is uint64 for m <= 2**32, where A y + C <= (m-1)**2 + (m-1) < 2**64 is
-    exact, and holds Python integers above that.
+    ``tail`` holds the latest states, oldest first: the seed alone at
+    first, then the last up to _JUMP states of the stream.  States then
+    double by jumping each ahead d = min(known, _JUMP) steps from the one
+    d before it, so no array op touches more than _JUMP states, and from
+    a full tail one op fills _JUMP states.  The array is uint64 for
+    m <= 2**32, where A y + C <= (m-1)**2 + (m-1) < 2**64 is exact, and
+    holds Python integers above that.
     """
-    out = np.empty(n, dtype=np.uint64 if m <= 1 << 32 else object)
-    if n == 0:
-        return out, y
-    out[0] = (a * y + c) % m
-    start = 1
-    while start < n:
+    k = len(tail)
+    out = np.empty(k + n, dtype=np.uint64 if m <= 1 << 32 else object)
+    out[:k] = tail
+    start = k
+    while start < k + n:
         d = min(start, _JUMP)
         big_a, big_c = _jump_constants(m, a, c, d)
         mod = m
         if out.dtype != object:
             big_a, big_c, mod = np.uint64(big_a), np.uint64(big_c), np.uint64(m)
-        end = n if d == _JUMP else min(start + d, n)
+        end = k + n if d == _JUMP else min(start + d, k + n)
         for lo in range(start, end, d):
             hi = min(lo + d, end)
             out[lo:hi] = (big_a * out[lo - d : hi - d] + big_c) % mod
         start = end
-    return out, int(out[-1])
+    return out[k:], out[-_JUMP:].copy()
 
 
 def _uniforms(states: np.ndarray, m: int) -> np.ndarray:
@@ -144,12 +149,11 @@ def _uniforms(states: np.ndarray, m: int) -> np.ndarray:
 class UniformGenerator:
     """Base class for a deterministic stream of uniforms in [0, 1).
 
-    A family supplies only ``_block(n)``: at least n further uniforms of
-    its stream, in order, for n >= 1.  ``generate`` and ``next_uniform``
-    both hand out values from one buffer, which keeps whatever a block
-    gave beyond the request, so any interleaving of the two reads the one
-    stream.  The family's own state therefore runs ahead of the values
-    handed out.
+    A family supplies only ``_block(n)``: the next n uniforms of its
+    stream, in order, for n >= 1.  ``generate`` and ``next_uniform`` both
+    hand out values from one buffer, which a scalar draw refills with a
+    whole block, so any interleaving of the two reads the one stream.  The
+    family's own state therefore runs ahead of the values handed out.
     """
 
     # the buffer: values drawn but not yet handed out, in stream order.  The
@@ -176,10 +180,8 @@ class UniformGenerator:
         head = np.fromiter(itertools.islice(self._pending, n), dtype=np.float64)
         if head.size == n:
             return head
-        need = n - head.size
-        block = self._block(need)
-        self._pending = iter(block[need:].tolist())
-        return np.concatenate((head, block[:need])) if head.size else block[:need]
+        block = self._block(n - head.size)
+        return np.concatenate((head, block)) if head.size else block
 
     def _block(self, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -193,7 +195,7 @@ class Lcg(UniformGenerator):
 
     def __init__(self, params: LcgParams):
         self.params = params
-        self._state = params.seed
+        self._tail = (params.seed,)
 
     @property
     def descriptor(self) -> str:
@@ -201,8 +203,8 @@ class Lcg(UniformGenerator):
 
     def _block(self, n: int) -> np.ndarray:
         p = self.params
-        states, self._state = _lcg_states(p.modulus, p.multiplier, p.increment,
-                                          self._state, n)
+        states, self._tail = _lcg_states(p.modulus, p.multiplier, p.increment,
+                                         self._tail, n)
         return _uniforms(states, p.modulus)
 
 
@@ -228,7 +230,7 @@ class WichmannHill(UniformGenerator):
             # zero is absorbing for a zero-increment component
             if not 0 < s < m:
                 raise ValueError("component seed must satisfy 0 < seed < m")
-        self._states = seeds
+        self._tails = tuple((s,) for s in seeds)
         self._seeds = seeds
 
     @property
@@ -238,12 +240,12 @@ class WichmannHill(UniformGenerator):
 
     def _block(self, n: int) -> np.ndarray:
         total = np.zeros(n)
-        states = []
-        for m, a, s in zip(WH_AS183_MODULI, WH_AS183_MULTIPLIERS, self._states):
-            component, last = _lcg_states(m, a, 0, s, n)
+        tails = []
+        for m, a, tail in zip(WH_AS183_MODULI, WH_AS183_MULTIPLIERS, self._tails):
+            component, tail = _lcg_states(m, a, 0, tail, n)
             total += _uniforms(component, m)  # 0.0 + u1, then + u2, then + u3
-            states.append(last)
-        self._states = tuple(states)
+            tails.append(tail)
+        self._tails = tuple(tails)
         return np.remainder(total, 1.0, out=total)
 
 
@@ -251,20 +253,15 @@ class WichmannHill(UniformGenerator):
 # Mersenne Twister reference generator
 
 _MT_N = 624
-_MT_M = 397
-_MT_MATRIX_A = 0x9908B0DF
-_MT_UPPER = 0x80000000
-_MT_LOWER = 0x7FFFFFFF
 _MT_SEED_MULT = 1812433253
-_TWO32 = 4294967296.0
 
 
 class MT19937(UniformGenerator):
     """Standard 32-bit Mersenne Twister with scalar integer seeding.
 
     Raw words map to uniforms as ``word / 2**32``, so exact 0.0 can occur.
-    The twist is applied one 624-word block at a time with numpy, which
-    keeps bulk generation fast without changing the output sequence.
+    The 624 words of ``init_genrand`` are loaded into a ``random.Random``,
+    whose C twister is the same MT19937 and draws the words from there.
     """
 
     def __init__(self, seed: int = 5489):
@@ -276,50 +273,18 @@ class MT19937(UniformGenerator):
         for i in range(1, _MT_N):
             prev = state[i - 1]
             state[i] = (_MT_SEED_MULT * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF
-        self._state = np.array(state, dtype=np.uint32)
+        # position 624: the first draw twists, as after init_genrand
+        self._rng = random.Random(0)
+        self._rng.setstate((3, (*state, _MT_N), None))
 
     @property
     def descriptor(self) -> str:
         return f"mt:seed={self._seed}"
 
-    def _next_block(self) -> np.ndarray:
-        """Twist the state and return the 624 tempered output words."""
-        mt = self._state
-        nxt = np.empty(_MT_N, dtype=np.uint32)
-        y = (mt & np.uint32(_MT_UPPER)) | (
-            np.concatenate((mt[1:], mt[:1])) & np.uint32(_MT_LOWER)
-        )
-        toggle = np.where(
-            (y & np.uint32(1)).astype(bool), np.uint32(_MT_MATRIX_A), np.uint32(0)
-        )
-        core = (y >> np.uint32(1)) ^ toggle
-        # entries 0..622 use the pre-twist words mt[k] and mt[k+1]; the
-        # mt[k + M (mod N)] partner crosses into already-updated territory
-        # for k >= N - M, hence the three slices.
-        nxt[: _MT_N - _MT_M] = mt[_MT_M :] ^ core[: _MT_N - _MT_M]
-        nxt[_MT_N - _MT_M : 2 * (_MT_N - _MT_M)] = (
-            nxt[: _MT_N - _MT_M] ^ core[_MT_N - _MT_M : 2 * (_MT_N - _MT_M)]
-        )
-        nxt[2 * (_MT_N - _MT_M) : _MT_N - 1] = (
-            nxt[_MT_N - _MT_M : _MT_M - 1] ^ core[2 * (_MT_N - _MT_M) : _MT_N - 1]
-        )
-        y_last = (int(mt[_MT_N - 1]) & _MT_UPPER) | (int(nxt[0]) & _MT_LOWER)
-        last = int(nxt[_MT_M - 1]) ^ (y_last >> 1)
-        if y_last & 1:
-            last ^= _MT_MATRIX_A
-        nxt[_MT_N - 1] = np.uint32(last)
-        self._state = nxt
-
-        w = nxt.copy()
-        w ^= w >> np.uint32(11)
-        w ^= (w << np.uint32(7)) & np.uint32(0x9D2C5680)
-        w ^= (w << np.uint32(15)) & np.uint32(0xEFC60000)
-        w ^= w >> np.uint32(18)
-        return w
-
     def _block(self, n: int) -> np.ndarray:
-        """ceil(n / 624) whole twists, as uniforms."""
-        return np.concatenate([self._next_block() for _ in range(-(-n // _MT_N))]) / _TWO32
+        """The next n words, as uniforms: randbytes packs whole 32-bit
+        words little-endian, in stream order."""
+        return np.frombuffer(self._rng.randbytes(4 * n), "<u4") / 2**32
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +370,9 @@ def brute_force_period(params: LcgParams, cap: int) -> int | None:
     on_cycle = params.seed
     for _ in range(m.bit_length()):
         on_cycle = (a * on_cycle + c) % m
-    y = on_cycle
+    tail = (on_cycle,)
     for done in range(0, cap, _WALK_BLOCK):
-        states, y = _lcg_states(m, a, c, y, min(_WALK_BLOCK, cap - done))
+        states, tail = _lcg_states(m, a, c, tail, min(_WALK_BLOCK, cap - done))
         hits = np.flatnonzero(states == on_cycle)
         if hits.size:
             lam = done + int(hits[0]) + 1

@@ -42,19 +42,24 @@ _TMP_PREFIX = ".rngaudit-tmp-"
 def atomic_files(paths):
     """Text handles to one temporary file beside each of ``paths``.
 
-    On a clean exit the handles are closed and each temporary file is
-    renamed onto its path, in order.  On any error each temporary file
-    not yet renamed is deleted: no target is left holding part of a file,
-    and no temporary file is left behind.
+    Each file gets the mode that ``open`` gives a new file, 0o666 less
+    the umask.  On a clean exit the handles are closed and each temporary
+    file is renamed onto its path, in order.  On any error each temporary
+    file not yet renamed is deleted: no target is left holding part of a
+    file, and no temporary file is left behind.
     """
     paths = [os.fspath(p) for p in paths]
     temps, handles, renamed = [], [], 0
+    # mkstemp makes every file 0600; the umask can only be read by setting it
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         for path in paths:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                        prefix=_TMP_PREFIX)
             temps.append(tmp)
             handles.append(os.fdopen(fd, "w"))
+            os.chmod(tmp, 0o666 & ~umask)
         yield handles
         for fh in handles:
             fh.close()

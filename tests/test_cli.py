@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import re
+import stat
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -513,6 +517,39 @@ class TestReproducibility:
         report = _load_report(out)
         rebuilt = rerun_from_manifest(report["manifest"])
         assert rebuilt == payload_without_timestamp(report)
+
+
+# ---------------------------------------------------------------------------
+# written files and imports
+
+
+class TestWrittenFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_files_take_the_umask_mode(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            main(["generate", TINY, "-n", "4", "--quiet", "-o", str(tmp_path / "s.txt"),
+                  "--json", str(tmp_path / "g.json")])
+            main(["figures", SMALL, "--out-dir", str(tmp_path), "--quiet",
+                  "--json", str(tmp_path / "f.json")])
+        finally:
+            os.umask(old)
+        names = ["s.txt", "g.json", "pairs.csv", "pairs.svg", "triples.csv", "f.json"]
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+        modes = {n: stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in names}
+        assert modes == dict.fromkeys(names, 0o666 & ~umask)
+
+    def test_cli_import_leaves_numpy_random_out(self):
+        # importing numpy.random costs the CLI some 5 MB of RSS at start
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rngaudit.cli; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

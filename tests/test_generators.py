@@ -36,6 +36,10 @@ BLOCK_EDGES = (0, 1, 623, 624, 625, _JUMP - 1, _JUMP, _JUMP + 1, 3 * _JUMP + 5)
 SCALAR_RUNS = {"u": 1, "u*": _JUMP + 1}
 # Interleavings of scalar runs and bulk draws of each edge size.
 DRAWS = st.lists(st.sampled_from((*SCALAR_RUNS, *BLOCK_EDGES)), min_size=1, max_size=4)
+# Runs of _block sizes around the jump: later blocks continue from the
+# last _JUMP states of the ones before, a partial tail or a full one.
+BLOCKS = st.lists(st.sampled_from((1, _JUMP - 1, _JUMP, _JUMP + 1, 3 * _JUMP + 5)),
+                  min_size=2, max_size=4)
 
 
 def _bits(values):
@@ -159,6 +163,21 @@ class TestLcgNext:
                               len(got))
         assert _bits(got) == _bits([s / m for s in states])
 
+    @given(m=st.one_of(st.integers(2, 2**32), st.integers(2**32 + 1, 2**97)),
+           a=st.integers(1, 2**97), c=st.integers(0, 2**97),
+           y=st.integers(0, 2**97), blocks=BLOCKS)
+    @example(m=2**32, a=69069, c=1, y=2**32 - 1, blocks=[_JUMP - 1, _JUMP + 1, _JUMP])
+    @example(m=2**33 - 9, a=3**20, c=1, y=2**33 - 10,  # A y + C > 2**64
+             blocks=[_JUMP + 1, 3 * _JUMP + 5, 1])
+    @settings(max_examples=25, deadline=None)
+    def test_blocks_continue_the_recurrence(self, m, a, c, y, blocks):
+        params = LcgParams(m, a % m or 1, c % m, y % m)
+        gen = Lcg(params)
+        got = np.concatenate([gen._block(n) for n in blocks])
+        states = lcg_sequence(m, params.multiplier, params.increment, params.seed,
+                              sum(blocks))
+        assert _bits(got) == _bits([s / m for s in states])
+
 
 # Block sizes around every doubling of the fill, and past its longest jump.
 FILL_SIZES = sorted({1, 2, 3, 3 * _JUMP + 5} | {2**j + e for j in range(2, 14) for e in (-1, 0, 1)})
@@ -179,17 +198,18 @@ class TestDoublingFill:
     def test_states_and_uniforms_follow_the_recurrence(self, m, a, c, seed):
         want = lcg_sequence(m, a, c, seed, max(FILL_SIZES) + 1)
         for n in FILL_SIZES:
-            states, last = _lcg_states(m, a, c, seed, n)
+            states, tail = _lcg_states(m, a, c, (seed,), n)
             assert [int(s) for s in states] == want[:n]
-            assert last == want[n - 1]
+            # the tail is the last _JUMP states, seed included, oldest first
+            assert [int(s) for s in tail] == ([seed] + want[:n])[-_JUMP:]
             gen = Lcg(LcgParams(m, a, c, seed))
             assert _bits(gen.generate(n)) == _bits([s / m for s in want[:n]])
             # the generator's own state is the last one: the stream continues
             assert _bits(gen.generate(1)) == _bits([want[n] / m])
 
     def test_empty_fill_keeps_the_state(self):
-        states, last = _lcg_states(2**18, 4649, 819, 5, 0)
-        assert states.size == 0 and last == 5
+        states, tail = _lcg_states(2**18, 4649, 819, (5,), 0)
+        assert states.size == 0 and tail.tolist() == [5]
 
     def test_wichmann_hill(self):
         seeds = (1, 2, 3)
@@ -205,7 +225,8 @@ class TestDoublingFill:
         n = 10**6
         gen = make_generator("lcg:m=2147483647,a=16807,c=0,seed=1")
         peaks = []
-        for draw in (lambda: _lcg_states(2**31 - 1, 16807, 0, 1, n), lambda: gen.generate(n)):
+        for draw in (lambda: _lcg_states(2**31 - 1, 16807, 0, (1,), n),
+                     lambda: gen.generate(n)):
             tracemalloc.start()
             try:
                 draw()
@@ -316,6 +337,8 @@ class TestBruteForcePeriod:
         (LcgParams(2**10 * 3, 6, 5, 1), 10, 1),   # tail of 9, below 2's exponent 10
         (LcgParams(2**16 * 7, 6, 1, 1), 17, 2),   # tail of 15, then a 2-cycle mod 7
         (LcgParams(2**20, 4651, 819, 9), 2**19, 2**19),  # across walk blocks
+        # full period 3 * 2**17: the last walk block is a partial one
+        (LcgParams(3 * 2**17, 925, 1, 5), 3 * 2**17, 3 * 2**17),
     ])
     def test_cap_edges_with_tails_and_long_cycles(self, params, edge, lam):
         assert first_repeat_step(params) == edge
@@ -353,6 +376,14 @@ class TestCombined:
         got = _draw_all(WichmannHill(*seeds), draws)
         assert _bits(got) == _bits(_wh_sequence(seeds, len(got)))
 
+    @given(seeds=st.tuples(st.integers(1, 30268), st.integers(1, 30306),
+                           st.integers(1, 30322)), blocks=BLOCKS)
+    @settings(max_examples=10, deadline=None)
+    def test_blocks_continue_the_recurrence(self, seeds, blocks):
+        gen = WichmannHill(*seeds)
+        got = np.concatenate([gen._block(n) for n in blocks])
+        assert _bits(got) == _bits(_wh_sequence(seeds, sum(blocks)))
+
     def test_validation(self):
         # each component seed lies in [1, m - 1] for its own modulus
         WichmannHill(30268, 30306, 30322)
@@ -389,7 +420,7 @@ class TestCombined:
 
 class TestMT19937:
     def test_words_match_scalar_reference(self):
-        for seed in (5489, 0, 97):
+        for seed in (5489, 0, 97, 2**32 - 1):
             ref = ScalarMT(seed)
             assert _mt_words(MT19937(seed).generate(1300)) == [
                 ref.next_word() for _ in range(1300)
@@ -417,10 +448,14 @@ class TestMT19937:
         ref = ScalarMT(seed)
         assert _bits(got) == _bits([ref.next_uniform() for _ in got])
 
-    def test_block_is_whole_twists(self):
-        gen = MT19937(5489)
-        assert [gen._block(n).size for n in (1, 623, 624, 625, _JUMP)] == [
-            624, 624, 624, 1248, 7 * 624]
+    def test_blocks_are_exact_and_continue_the_words(self):
+        sizes = (1, 623, 624, 625, _JUMP)
+        for seed in (0, 5489, 2**32 - 1):
+            gen, ref = MT19937(seed), ScalarMT(seed)
+            blocks = [gen._block(n) for n in sizes]
+            assert [b.size for b in blocks] == list(sizes)
+            assert _mt_words(np.concatenate(blocks)) == [
+                ref.next_word() for _ in range(sum(sizes))]
 
     def test_generate_matches_next_uniform_across_blocks(self):
         g1, g2 = MT19937(7), MT19937(7)
