@@ -204,11 +204,16 @@ def _build_report(command, argv, descriptor, config, results, summary) -> dict:
 def _parse_seeds(text: str) -> list[int]:
     """Seed list syntax: '1..30' (inclusive range) or '1,5,9'."""
     text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        seeds = list(range(int(lo), int(hi) + 1))
-    else:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--seeds takes LO..HI or a comma list of integers, not {text!r}"
+        ) from None
     if len(seeds) < 2:
         raise ValueError("need at least two seeds (e.g. --seeds 1..30)")
     return seeds

@@ -10,10 +10,12 @@ beyond Monte Carlo noise indicts the generator, not the model.
 Normals come from the Box-Muller transform fed by generator uniforms in
 stream order, so the entire simulation is a deterministic function of
 (descriptor, seed, config).  Paths are simulated a chunk at a time from
-bulk draws of uniforms, but every logarithm, sine, cosine and
-exponential is the math module's (libm's) on one value, and each path
-sums its steps in order, so the estimates are bit for bit those of a
-scalar loop that draws one uniform at a time.
+bulk draws of uniforms, but every logarithm and exponential is the math
+module's (libm's) on one value, numpy's float64 cosine and sine call
+libm's once per value, and each path sums its steps in order, so the
+estimates are bit for bit those of a scalar loop that draws one uniform
+at a time.  (numpy's SIMD log and exp differ from libm's in the last
+bit, so they are not used.)
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ class ToyModelConfig:
             raise ValueError("paths must be >= 2")
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
+        # nan would slip past every comparison below and leave null estimates
+        for name in ("drift", "volatility", "discount_rate", "strike_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.volatility < 0:
             raise ValueError("volatility must be nonnegative")
         if self.strike_ratio < 0:
@@ -89,9 +95,10 @@ class GaussianStream:
     ``normals(n)`` draws the uniforms of all its pairs with one
     ``generate`` call; each zero it skips is replaced by drawing more
     uniforms in further ``generate`` calls, until every pair is filled.
-    It applies the libm ``log``, ``cos`` and ``sin`` of the math module to
-    each value, so every normal is bit for bit the one a scalar transform
-    of its pair gives.
+    ``log`` is the math module's on each value; ``cos`` and ``sin`` are
+    numpy's float64 ufuncs, which call libm's on each value and so agree
+    with the math module's bit for bit.  Every normal is therefore the
+    one a scalar transform of its pair gives.
     """
 
     def __init__(self, generator: UniformGenerator):
@@ -109,10 +116,10 @@ class GaussianStream:
         if pairs:
             u1, u2 = self._uniform_pairs(pairs)
             r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
-            theta = (TWO_PI * u2).tolist()
+            theta = TWO_PI * u2
             z = np.empty((pairs, 2), dtype=np.float64)
-            z[:, 0] = r * np.fromiter(map(math.cos, theta), np.float64, pairs)
-            z[:, 1] = r * np.fromiter(map(math.sin, theta), np.float64, pairs)
+            z[:, 0] = r * np.cos(theta)
+            z[:, 1] = r * np.sin(theta)
             z = z.ravel()
             out[done:] = z[: n - done]
             if z.size > n - done:
@@ -167,15 +174,27 @@ def mc_estimate(
     """Monte Carlo guarantee value and its standard error.
 
     Deterministic: the same (descriptor, seed, config) triple always
-    produces the bit-identical pair.
+    produces the bit-identical pair.  A config under which a level, the
+    discount factor or a payoff moment overflows a float raises ValueError.
     """
     if config is None:
         config = ToyModelConfig()
     stream = GaussianStream(make_generator(descriptor, seed=seed))
-    payoffs = _simulate_payoffs(stream, config, config.paths)
-    disc = math.exp(-config.discount_rate * config.horizon_steps)
-    se = disc * float(payoffs.std(ddof=1)) / math.sqrt(config.paths)
-    return disc * float(payoffs.mean()), se
+    # math.exp raises OverflowError; numpy, its scalars included, raises
+    # FloatingPointError under this errstate instead of returning inf
+    try:
+        with np.errstate(over="raise"):
+            payoffs = _simulate_payoffs(stream, config, config.paths)
+            disc = np.float64(math.exp(-config.discount_rate * config.horizon_steps))
+            est = disc * payoffs.mean()
+            se = disc * payoffs.std(ddof=1) / math.sqrt(config.paths)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"the model overflows a float (drift={config.drift}, "
+            f"volatility={config.volatility}, discount_rate={config.discount_rate}, "
+            f"strike_ratio={config.strike_ratio}, horizon_steps={config.horizon_steps})"
+        ) from None
+    return float(est), float(se)
 
 
 def seed_sweep(descriptor: str, seeds, config: ToyModelConfig | None = None) -> TestResult:

@@ -237,13 +237,13 @@ class FixedUniforms:
     out."""
 
     def __init__(self, values):
-        self._values = [float(v) for v in values]
+        self._values = np.array(values, dtype=np.float64)
         self._drawn = 0
 
     def generate(self, n):
-        if self._drawn + n > len(self._values):
+        if self._drawn + n > self._values.size:
             raise IndexError("the fixed uniforms are used up")
-        out = np.array(self._values[self._drawn:self._drawn + n], dtype=np.float64)
+        out = self._values[self._drawn:self._drawn + n].copy()
         self._drawn += n
         return out
 

@@ -61,6 +61,11 @@ class TestParseSeeds:
         with pytest.raises(ValueError, match="two seeds"):
             _parse_seeds("7")
 
+    @pytest.mark.parametrize("text", ["1..3,5", "1..x", "a,b", "1.5,2"])
+    def test_malformed_list_names_the_syntax(self, text):
+        with pytest.raises(ValueError, match=r"--seeds takes LO\.\.HI or a comma list"):
+            _parse_seeds(text)
+
 
 # ---------------------------------------------------------------------------
 # generate
@@ -358,6 +363,30 @@ class TestSweepCommand:
 
     def test_single_seed_is_usage_error(self, capsys):
         assert main(["sweep", "mt:", "--seeds", "5", "--quiet"]) == EXIT_USAGE
+
+    def test_malformed_seed_list_is_usage_error(self, capsys):
+        assert main(["sweep", "mt:", "--seeds", "1..3,5", "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--seeds takes LO..HI or a comma list" in err
+        assert "invalid literal" not in err
+
+    def test_non_finite_model_parameter_is_usage_error(self, capsys):
+        code = main(["sweep", "mt:", "--seeds", "1,2", "--paths", "4", "--steps", "2",
+                     "--vol", "nan"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "volatility must be finite" in err
+        assert "pass" not in out
+
+    @pytest.mark.parametrize("flag,value", [("--drift", "1000"), ("--discount", "-1000")])
+    def test_model_overflow_is_usage_error(self, capsys, flag, value):
+        code = main(["sweep", "mt:", "--seeds", "1,2", "--paths", "4", "--steps", "2",
+                     flag, value])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert err.count("\n") == 1 and err.startswith("error: the model overflows")
+        assert "Traceback" not in err
+        assert "pass" not in out
 
     def test_single_path_is_usage_error(self, capsys):
         # one path has no standard error, so it cannot judge a seed effect

@@ -18,6 +18,7 @@ from rngaudit import seedlab
 from rngaudit.cli import EXIT_REJECT, main
 from rngaudit.generators import _JUMP, make_generator
 from rngaudit.seedlab import (
+    TWO_PI,
     GaussianStream,
     ToyModelConfig,
     _CHUNK_NORMALS,
@@ -112,6 +113,43 @@ class TestUniformToGaussian:
         assert z1 * z1 + z2 * z2 == pytest.approx(-2.0 * math.log(u1), rel=1e-9)
 
 
+def _angle_fractions(kind):
+    """Fractions u2 of a turn: a full grid k / m, or a fixed sample of MT
+    words over 2**32 (the uniforms of ``mt:``)."""
+    if kind == "mt-words":
+        return make_generator("mt:", seed=20180501).generate(1 << 20)
+    m = 1 << {"grid-2^18": 18, "grid-2^20": 20}[kind]
+    return np.arange(m) / m
+
+
+class TestTrigIsLibm:
+    """``normals`` takes the cosine and sine of the angle from numpy's float64
+    ufuncs, and its normals (so every sweep estimate) are bit for bit the
+    scalar loop's only because numpy calls libm's sin and cos once per value,
+    as the math module does.  The grid of 2**18 is that of the short LCG and
+    the figure generator."""
+
+    @pytest.mark.parametrize("kind", ["grid-2^18", "grid-2^20", "mt-words"])
+    def test_cos_and_sin_are_maths_bit_for_bit(self, kind):
+        u2 = _angle_fractions(kind)
+        theta = (TWO_PI * u2).tolist()
+        # radius sqrt(-2 ln e**-0.5) is exactly 1, so each normal is the
+        # cosine or sine itself
+        u1 = math.exp(-0.5)
+        assert math.sqrt(-2.0 * math.log(u1)) == 1.0
+        uniforms = np.empty(2 * u2.size)
+        uniforms[0::2], uniforms[1::2] = u1, u2
+        z = GaussianStream(FixedUniforms(uniforms)).normals(uniforms.size)
+        for name, got in (("cos", z[0::2]), ("sin", z[1::2])):
+            want = np.fromiter(map(getattr(math, name), theta), np.float64, len(theta))
+            bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+            assert bad.size == 0, (
+                f"the Box-Muller {name} differs from math.{name} on {bad.size} of "
+                f"{len(theta)} angles 2 pi u2 ({kind}), first at u2 = {float(u2[bad[0]])!r}. "
+                f"A numpy which vectorises float64 sin/cos changes every sweep estimate."
+            )
+
+
 class TestGaussianStream:
     def test_zero_uniform_skipped_and_counted(self):
         # the 10-state generator emits 0.6, 0.9, 0.0, 0.7, 0.6, ...; the
@@ -199,6 +237,10 @@ class TestToyModelConfig:
             {"volatility": -0.1},
             {"strike_ratio": -0.5},
             {"paths": 1},
+            {"drift": math.inf},
+            {"volatility": math.nan},
+            {"discount_rate": math.nan},
+            {"strike_ratio": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -305,6 +347,21 @@ class TestMcEstimate:
         disc = math.exp(-cfg.discount_rate * steps)
         se = disc * float(want.std(ddof=1)) / math.sqrt(cfg.paths)
         assert _bits(got) == _bits((disc * float(want.mean()), se))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"drift": 1000.0},  # math.exp of a terminal log level
+        {"discount_rate": -1000.0},  # math.exp of the discount
+        {"volatility": 1e200},  # volatility**2
+        {"drift": 1e308},  # numpy's cumulative sum along a path
+        {"strike_ratio": 1e308},  # numpy's mean of the payoffs
+        {"discount_rate": -300.0, "strike_ratio": 1e50},  # discount times the mean
+    ])
+    def test_overflow_is_a_value_error_naming_the_model(self, kwargs):
+        cfg = ToyModelConfig(paths=4, horizon_steps=2, **kwargs)
+        with pytest.raises(ValueError, match="the model overflows a float") as info:
+            mc_estimate("mt:", 1, cfg)
+        for field, value in kwargs.items():
+            assert f"{field}={value}" in str(info.value)
 
     @pytest.mark.slow
     def test_error_shrinks_like_root_n_over_decades(self):
