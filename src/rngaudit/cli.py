@@ -12,6 +12,13 @@ re-running the recorded argv on the same numpy build rebuilds the
 payload bit for bit (the timestamp is the only field outside that
 guarantee).
 
+Unless ``--quiet`` is given, every command but ``generate`` to stdout
+prints a text summary read from its report alone, whatever the command:
+one line per record (``wrote PATH (ROWS rows)`` for a file record, and
+an error record's reason below it), a table for each list of row
+objects in a record's detail, and ``=> VERDICT (...)`` with the
+summary's other fields.
+
 Exit codes form a stable contract for CI gates:
 
     0  pass
@@ -226,8 +233,6 @@ def _test_names(text: str) -> tuple[str, ...] | None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=None,
-                        help="significance level for statistical tests (default 0.01)")
     common.add_argument("--json", metavar="PATH", default=None,
                         help="write the machine-readable report to PATH")
     common.add_argument("--quiet", action="store_true",
@@ -254,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="sample file path or generator descriptor")
     p.add_argument("-n", "--count", type=int, default=100_000,
                    help="sample length when source is a descriptor (default 100000)")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="significance level of the tests (default 0.01)")
     p.add_argument("--tests", type=_test_names, default=None,
                    help="comma list out of uniformity,permutation,serial,birthday")
     p.add_argument("--bonferroni", action="store_true", default=None,
@@ -396,14 +403,14 @@ def _cloud_jobs(gen, dims, path):
     n_values = min(gen.params.modulus, 1 << 18) if isinstance(gen, Lcg) else 1 << 17
     sample = gen.sample(n_values)
     clouds = [point_cloud(sample, d) for d in dims]
-    csvs = tuple(path(c.dimension, "csv") for c in clouds)
+    csvs = tuple(path(d, "csv") for d in dims)
     jobs = [(csvs, lambda paths: export_cloud_csv(clouds, paths))]
     files = []
-    for csv, cloud in zip(csvs, clouds):
+    for csv, d, cloud in zip(csvs, dims, clouds):
         files.append((csv, len(cloud)))
-        if cloud.dimension == 2:
+        if d == 2:
             svg = path(2, "svg")
-            files.append((svg, len(thin(cloud.points, SVG_MAX_POINTS))))
+            files.append((svg, len(thin(cloud, SVG_MAX_POINTS))))
             jobs.append((svg, lambda p, c=cloud: export_cloud_svg(c, p)))
     records = [TestResult(p.rsplit("/", 1)[-1], float(rows), None, None,
                           {"path": p, "rows": rows}, "pass")
@@ -522,52 +529,36 @@ def _fmt(x, spec: str) -> str:
     return "n/a" if x is None else format(x, spec)
 
 
-def _print_summary(args, report):
-    if args.quiet:
-        return
-    summary = report["summary"]
-    if args.command == "test":
-        for r in report["results"]:
-            stat, p = _fmt(r["statistic"], ".6g"), _fmt(r["p_value"], ".3e")
-            print(f"{r['name']:<22} statistic={stat:<12} p={p:<10} {r['verdict']}")
-        print(f"=> {summary['verdict']} ({summary['n_rejections']} rejection(s), "
-              f"{summary['n_errors']} error(s), n={summary['sample_size']})")
-    elif args.command in ("spectral", "figures"):
-        for r in report["results"]:
-            d = r["detail"]
-            if "path" in d:
-                print(f"wrote {d['path']} ({d['rows']} rows)")
-                continue
-            thr = d["threshold"]
-            bound = "no threshold" if thr is None else f"threshold {thr:.2f}"
-            print(f"{r['name']:<14} accuracy={r['statistic']:<12.4f} {bound:<18} "
-                  f"{r['verdict']}")
-        if args.command == "spectral":
-            print(f"=> {summary['verdict']}")
-    elif args.command == "sweep":
-        d = report["results"][0]["detail"]
-        print(f"Seed sweep: {d['descriptor']} "
-              f"(paths={d['config']['paths']}, steps={d['config']['horizon_steps']})\n")
-        print(f"{'seed':>10s}  {'estimate':>14s}  {'std.error':>12s}")
-        for row in d["per_seed"]:
-            print(f"{row['seed']:>10d}  {_fmt(row['estimate'], '.8f'):>14s}  "
-                  f"{_fmt(row['standard_error'], '.8f'):>12s}")
-        seeds = [row["seed"] for row in d["per_seed"]]
-        i, j = d["max_pair"]
-        delta = d["delta_pct"][seeds.index(i)][seeds.index(j)]
-        print(f"\nLargest relative difference (seed {i} vs seed {j}):")
-        print(f"  Delta estimate [%]   {_fmt(delta, '+.2f')}")
-        print(f"Seed-effect flag: {'TRIPPED' if d['seed_effect_flag'] else 'not tripped'}"
-              " (threshold: 3 x pooled standard error)")
-        print(d["sample_size_note"])
-        print(f"=> {summary['verdict']}")
-    elif args.command == "period":
-        d = report["results"][0]["detail"]
-        print(f"modulus {d['modulus']}: full period = {summary['full_period']}"
-              f" (predicate {d['predicate']}, brute {d['brute_period']})")
-        print(f"=> {summary['verdict']}")
-    elif args.command == "generate" and args.output:
-        print(f"wrote {summary['count']} values to {summary['output']}")
+def _show(x) -> str:
+    """One value of a report as the summary prints it."""
+    if isinstance(x, list):
+        return ",".join(map(_show, x))
+    return _fmt(x, ".6g") if x is None or isinstance(x, float) else str(x)
+
+
+def _print_summary(report):
+    """Print a report from its records and summary alone: one line per
+    record (a file record says what it wrote, an error record why), a
+    table per list of row objects in a record's detail, and the verdict
+    with the summary's other fields."""
+    for r in report["results"]:
+        d = r["detail"]
+        if "path" in d:
+            print(f"wrote {d['path']} ({d['rows']} rows)")
+            continue
+        stat, p = _show(r["statistic"]), _fmt(r["p_value"], ".3e")
+        print(f"{r['name']:<22} statistic={stat:<12} p={p:<10} {r['verdict']}")
+        if "error" in d:
+            print(f"  error: {d['error']}")
+        for rows in d.values():
+            if isinstance(rows, list) and rows and isinstance(rows[0], dict):
+                cells = [list(rows[0]), *([_show(v) for v in row.values()] for row in rows)]
+                widths = [max(map(len, col)) for col in zip(*cells)]
+                for line in cells:
+                    print("  " + "  ".join(c.rjust(w) for c, w in zip(line, widths)))
+    summary = dict(report["summary"])
+    verdict = summary.pop("verdict")
+    print(f"=> {verdict} ({', '.join(f'{k}={_show(v)}' for k, v in summary.items())})")
 
 
 def main(argv=None) -> int:
@@ -591,7 +582,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    _print_summary(args, report)
+    # generate without -o prints its values: they are the whole output
+    if not args.quiet and getattr(args, "output", True):
+        _print_summary(report)
     return code
 
 

@@ -219,7 +219,15 @@ def seed_sweep(descriptor: str, seeds, config: ToyModelConfig | None = None) -> 
     delta = _delta_pct(estimates)
     best, (i, j), flag = _largest_delta(delta, estimates, ses)
     est, se = np.asarray(estimates), np.asarray(ses)
-    rel_se = float(np.mean(se / np.abs(est))) * 100 if np.all(est != 0) else float("nan")
+    if np.all(est != 0):
+        rel_se = float(np.mean(se / np.abs(est))) * 100
+        noise = (f"mean Monte Carlo error {rel_se:.2f}% of the estimate. Deltas within "
+                 f"~{3 * math.sqrt(2) * rel_se:.2f}%")
+    else:
+        # no error is relative to a zero estimate: state it in the estimate's units
+        mean_se = float(np.mean(se))
+        noise = (f"mean Monte Carlo error {mean_se:.3g} (absolute, as an estimate is 0). "
+                 f"Differences within ~{3 * math.sqrt(2) * mean_se:.3g}")
     detail = {
         "descriptor": descriptor,
         "config": asdict(config),
@@ -231,11 +239,8 @@ def seed_sweep(descriptor: str, seeds, config: ToyModelConfig | None = None) -> 
         "max_abs_relative_delta": best,
         "max_pair": [seeds[i], seeds[j]],
         "seed_effect_flag": flag,
-        "sample_size_note": (
-            f"{config.paths} paths per seed; mean Monte Carlo error "
-            f"{rel_se:.2f}% of the estimate. Deltas within ~{3 * math.sqrt(2) * rel_se:.2f}% "
-            "are consistent with sampling noise alone."
-        ),
+        "sample_size_note": (f"{config.paths} paths per seed; {noise} "
+                             "are consistent with sampling noise alone."),
     }
     return TestResult("seed-effect", best, None, None, detail, "reject" if flag else "pass")
 

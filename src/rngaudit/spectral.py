@@ -22,7 +22,6 @@ form, where both sides are exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "spectral_accept",
     "acceptance_threshold",
     "acceptance_threshold_sq",
-    "PointCloud",
     "point_cloud",
     "thin",
     "plane_membership",
@@ -300,37 +298,21 @@ def spectral_accept(params: LcgParams, d_max: int = 6) -> list[TestResult]:
 # ---------------------------------------------------------------------------
 # point clouds
 
-@dataclass
-class PointCloud:
-    """Overlapping d-tuples of a sample, as rows of an (n, d) array."""
-
-    dimension: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise ValueError("points must be an (n, dimension) array")
-        self.points = pts
-
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
-
-
 def thin(points, cap: int):
     """Every k-th row of ``points``, k the least stride that leaves at most
     ``cap`` rows: the one thinning rule of clouds and their SVG export."""
     return points[::-(-len(points) // cap)] if len(points) > cap else points
 
 
-def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> PointCloud:
-    """Overlapping d-tuples (x_i, ..., x_{i+d-1}) of the sample.
+def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> np.ndarray:
+    """Overlapping d-tuples (x_i, ..., x_{i+d-1}) of the sample, as the
+    rows of an (n, d) array.
 
     A sample of n values yields n - d + 1 tuples.  Above ``cap`` tuples
     the cloud is thinned by stride sampling (every k-th tuple) to stay
     plottable; the stride is recorded nowhere else, so exact tuple
-    counts matter only below the cap.  The points are a read-only view
-    of the sample's values, not a copy.
+    counts matter only below the cap.  The array is a read-only view of
+    the sample's values, not a copy.
     """
     if d not in (2, 3):
         raise ValueError("point clouds support dimensions 2 and 3")
@@ -338,10 +320,10 @@ def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> PointCloud:
     if values.size < d:
         raise ValueError("sample shorter than the tuple dimension")
     pts = np.lib.stride_tricks.sliding_window_view(values, d)
-    return PointCloud(d, thin(pts, cap))
+    return thin(pts, cap)
 
 
-def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dict:
+def plane_membership(cloud: np.ndarray, dual_vector, slack: float = 1e-9) -> dict:
     """How well the cloud fits the plane family of a dual vector.
 
     For a dual vector u the quantity u . x of every tuple x should sit a
@@ -351,11 +333,11 @@ def plane_membership(cloud: PointCloud, dual_vector, slack: float = 1e-9) -> dic
     ``slack`` of the family.
     """
     u = np.asarray(dual_vector, dtype=np.float64)
-    if u.shape != (cloud.dimension,):
+    if u.shape != cloud.shape[1:]:
         raise ValueError("dual vector dimension mismatch")
     # a contiguous copy takes the BLAS product whatever the cloud's strides,
     # so the offsets do not depend on whether the cloud is a view
-    t = np.ascontiguousarray(cloud.points) @ u
+    t = np.ascontiguousarray(cloud) @ u
     frac = t - np.floor(t)
     offset = float(frac[0])
     dev = np.abs(frac - offset)
@@ -374,24 +356,28 @@ def export_cloud_csv(clouds, paths) -> int:
     """Write each cloud as CSV with header x1,x2[,x3]; returns the rows written.
 
     ``clouds`` and ``paths`` are one cloud and one path, or equal-length
-    lists of them.  Each cell is ``repr`` of its value.  The files are
-    written together, TEXT_BLOCK rows of every cloud at a time: clouds of
-    one sample hold each value in several cells, so each block formats
-    the distinct values of all its clouds once, keyed by their bits
-    (``-0.0`` and ``0.0``, or two NaNs, keep their own text), and builds
-    every file's rows from those strings.  Each file appears whole or
-    not at all.
+    lists of them; a cloud is a 2-D float64 array.  Each cell is ``repr``
+    of its value.  The files are written together, TEXT_BLOCK rows of
+    every cloud at a time: clouds of one sample hold each value in
+    several cells, so each block formats the distinct values of all its
+    clouds once, keyed by their bits (``-0.0`` and ``0.0``, or two NaNs,
+    keep their own text), and builds every file's rows from those
+    strings.  Each file appears whole or not at all.
     """
-    if isinstance(clouds, PointCloud):
+    if isinstance(clouds, np.ndarray):
         clouds, paths = [clouds], [paths]
     if len(clouds) != len(paths):
         raise ValueError("need one path per cloud")
+    # the cells are keyed by the bits of their float64 values
+    if not all(isinstance(c, np.ndarray) and c.ndim == 2 and c.dtype == np.float64
+               for c in clouds):
+        raise ValueError("each cloud must be a 2-D float64 array")
     rows = max((len(c) for c in clouds), default=0)
     with atomic_files(paths) as handles:
         for fh, cloud in zip(handles, clouds):
-            fh.write(",".join(f"x{i + 1}" for i in range(cloud.dimension)) + "\n")
+            fh.write(",".join(f"x{i + 1}" for i in range(cloud.shape[1])) + "\n")
         for start in range(0, rows, TEXT_BLOCK):
-            blocks = [c.points[start:start + TEXT_BLOCK] for c in clouds]
+            blocks = [c[start:start + TEXT_BLOCK] for c in clouds]
             cells = np.concatenate([b.reshape(-1) for b in blocks])
             bits, index = np.unique(cells.view(np.uint64), return_inverse=True)
             text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
@@ -411,15 +397,15 @@ SVG_SIZE = 800
 SVG_MAX_POINTS = 32768
 
 
-def export_cloud_svg(cloud: PointCloud, path, max_points: int = SVG_MAX_POINTS) -> int:
+def export_cloud_svg(cloud: np.ndarray, path, max_points: int = SVG_MAX_POINTS) -> int:
     """Scatter a 2-D cloud into an 800x800 SVG; returns the points drawn.
 
     Clouds larger than ``max_points`` are thinned by stride sampling so
     the file stays viewable.
     """
-    if cloud.dimension != 2:
+    if cloud.shape[1:] != (2,):
         raise ValueError("SVG export is 2-D only")
-    pts = thin(cloud.points, max_points)
+    pts = thin(cloud, max_points)
     s = SVG_SIZE
 
     def chunks():

@@ -109,7 +109,7 @@ class TestGenerate:
         expected = make_generator("mt:seed=9").generate(50)
         assert list(loaded.values) == list(expected)
         assert loaded.provenance == "mt:seed=9"
-        assert "wrote 50 values" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith(f"=> pass (count=50, output={target})\n")
 
     def test_rejects_nonpositive_count(self, capsys):
         code = main(["generate", TINY, "-n", "0"])
@@ -243,6 +243,13 @@ class TestBatteryCommand:
             "bonferroni": True,
         }
 
+    def test_error_record_prints_its_reason(self, capsys):
+        code = main(["test", "mt:seed=1", "-n", "20000", "--tests", "uniformity,nosuch"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == EXIT_USAGE
+        assert out[-3].split() == ["nosuch", "statistic=n/a", "p=n/a", "error"]
+        assert out[-2] == "  error: unknown test 'nosuch'"
+
     def test_invalid_battery_flag_is_usage_error(self, capsys):
         assert main(["test", "mt:", "-n", "20000", "--serial-d", "1",
                      "--quiet"]) == EXIT_USAGE
@@ -319,7 +326,7 @@ class TestSpectralCommand:
         # file records leave the verdict and exit code to the dimensions
         assert report["summary"]["verdict"] == "reject"
         assert code == EXIT_REJECT
-        assert text.endswith("=> reject\n")
+        assert text.splitlines()[-1].startswith("=> reject (")
 
     def test_three_dimensional_cloud_is_csv_only(self, tmp_path):
         stem = str(tmp_path / "c")
@@ -339,7 +346,7 @@ class TestSweepCommand:
                      "--steps", "20", "--json", str(out)])
         text = capsys.readouterr().out
         assert code == EXIT_PASS
-        assert "Seed sweep" in text
+        assert text.startswith("seed-effect ")
         assert "=> pass" in text
         report = _load_report(out)
         assert report["summary"]["verdict"] == "pass"
@@ -396,12 +403,14 @@ class TestSweepCommand:
 
     def test_infinite_delta_reads_n_a(self, tmp_path, capsys):
         # seeds 1 and 4 pay nothing on 13 paths, so the deltas against them
-        # are infinite: null in the report, n/a in the table
+        # are infinite: null in the report, n/a in the summary
         out = tmp_path / "r.json"
         code = main(["sweep", "wh:", "--seeds", "1..4", "--paths", "13", "--steps", "7",
                      "--json", str(out)])
         assert code == EXIT_PASS
-        assert "Delta estimate [%]   n/a\n" in capsys.readouterr().out
+        text = capsys.readouterr().out.splitlines()
+        assert text[0].split() == ["seed-effect", "statistic=n/a", "p=n/a", "pass"]
+        assert "max_abs_relative_delta=n/a" in text[-1]
         report = _load_report(out)
         assert report["summary"]["max_abs_relative_delta"] is None
         assert report["summary"]["max_pair"] == [2, 1]
@@ -426,7 +435,7 @@ class TestPeriodCommand:
         code = main(["period", POOR])
         text = capsys.readouterr().out
         assert code == EXIT_PASS
-        assert "full period = True" in text
+        assert text.endswith("=> pass (full_period=True, modulus=262144)\n")
 
     def test_short_period_generator(self, tmp_path):
         out = tmp_path / "r.json"
@@ -595,6 +604,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", TINY, "-n", "4"],
+        ["spectral", SMALL],
+        ["sweep", "mt:", "--seeds", "1,2"],
+        ["period", TINY],
+        ["figures"],
+    ])
+    def test_alpha_belongs_to_test_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--alpha", "0.05", "--quiet"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,9 @@ builds.
 Rebuild the fixtures (only on purpose, and say why in the change log)::
 
     PYTHONPATH=src python tests/test_golden.py
+
+The rebuild prints, for each case, which of ``exit_code``, ``stdout``
+and ``payload`` differ from the committed file.
 """
 
 from __future__ import annotations
@@ -108,11 +111,28 @@ def test_report_matches_golden(runs, index):
     assert_matches(got["payload"], want["payload"])
 
 
+def test_every_summary_ends_with_its_verdict(runs):
+    # generate without -o prints the sample file and nothing else
+    ends = [(got["stdout"].splitlines()[-1], got["payload"]["summary"]["verdict"])
+            for got in runs if got["payload"]["summary"].get("output") != "stdout"]
+    assert len(ends) == len(CASES) - 1
+    assert all(last.startswith(f"=> {verdict} (") for last, verdict in ends)
+
+
 if __name__ == "__main__":
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         cases = run_cases()
         os.chdir(here)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    old = {tuple(case["argv"]): case for case in old}
+    for case in cases:
+        was = old.get(tuple(case["argv"]))
+        moved = ("new case" if was is None else
+                 ", ".join(k for k in ("exit_code", "stdout", "payload")
+                           if json.dumps(case[k], sort_keys=True)
+                           != json.dumps(was[k], sort_keys=True)) or "unchanged")
+        print(f"{' '.join(case['argv'])}: {moved}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")

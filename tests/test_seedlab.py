@@ -429,13 +429,12 @@ class TestSeedSweep:
 
     def test_text_table_contents(self, capsys):
         main(["sweep", "mt:", "--seeds", "1,2,3", "--paths", "200", "--steps", "20"])
-        text = capsys.readouterr().out
-        assert "Delta estimate [%]" in text
-        assert "+38.41" in text
-        assert "not tripped" in text
-        assert "3 x pooled standard error" in text
-        for seed in (1, 2, 3):
-            assert f"\n{seed:>10d}  " in text
+        text = capsys.readouterr().out.splitlines()
+        assert text[0].split() == ["seed-effect", "statistic=38.4094", "p=n/a", "pass"]
+        assert text[1].split() == ["seed", "estimate", "standard_error"]
+        assert [line.split()[0] for line in text[2:5]] == ["1", "2", "3"]
+        assert text[2].split()[1:] == ["0.00488133", "0.00103804"]
+        assert text[-1] == "=> pass (max_abs_relative_delta=38.4094, max_pair=2,3, n_seeds=3)"
 
     def test_flag_trips_on_dispersion_beyond_pooled_error(self, monkeypatch, capsys):
         pairs = {1: (0.01, 1e-6), 2: (0.02, 1e-6)}
@@ -447,7 +446,18 @@ class TestSeedSweep:
         assert rep.detail["max_pair"] == [2, 1]
         assert rep.detail["delta_pct"] == [[0.0, -50.0], [100.0, 0.0]]
         assert main(["sweep", "x:", "--seeds", "1,2"]) == EXIT_REJECT
-        assert "TRIPPED" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split()[-1] == "reject" and out[-1].startswith("=> reject (")
+
+    def test_zero_estimate_states_the_error_in_absolute_terms(self, monkeypatch):
+        # no error is relative to a zero estimate: the note gives the mean
+        # standard error and its noise band in the estimate's units, not nan%
+        pairs = {1: (0.0, 0.0), 2: (0.002, 0.001)}
+        monkeypatch.setattr(seedlab, "mc_estimate", lambda descriptor, seed, config: pairs[seed])
+        note = seed_sweep("x:", [1, 2], SMALL).detail["sample_size_note"]
+        assert note == (f"{SMALL.paths} paths per seed; mean Monte Carlo error 0.0005 "
+                        "(absolute, as an estimate is 0). Differences within ~0.00212 "
+                        "are consistent with sampling noise alone.")
 
     def test_zero_volatility_sweep_has_no_dispersion(self):
         cfg = ToyModelConfig(

@@ -19,7 +19,6 @@ from rngaudit.io import save_sample
 from rngaudit.spectral import (
     _lll_reduce,
     _round_half_even,
-    PointCloud,
     acceptance_threshold,
     acceptance_threshold_sq,
     dual_lattice_basis,
@@ -319,15 +318,15 @@ class TestPointCloud:
     def test_tuples_are_successive_values(self):
         v = np.array([0.1, 0.2, 0.3, 0.4])
         cloud = point_cloud(v, 3)
-        assert cloud.points[0] == pytest.approx([0.1, 0.2, 0.3])
-        assert cloud.points[1] == pytest.approx([0.2, 0.3, 0.4])
+        assert cloud[0] == pytest.approx([0.1, 0.2, 0.3])
+        assert cloud[1] == pytest.approx([0.2, 0.3, 0.4])
 
     def test_cap_thins_by_stride(self):
         v = np.linspace(0.0, 0.999, 1024)  # 1023 pairs
         cloud = point_cloud(v, 2, cap=100)
         # stride ceil(1023/100) = 11 keeps ceil(1023/11) = 93 tuples
         assert len(cloud) == 93
-        assert cloud.points[1] == pytest.approx([v[11], v[12]])
+        assert cloud[1] == pytest.approx([v[11], v[12]])
 
     def test_accepts_sample_objects(self):
         s = make_generator("mt:seed=2").sample(50)
@@ -347,12 +346,8 @@ class TestPointCloud:
         v = make_generator("mt:seed=3").generate(1000)
         for cap in (10**6, 100):  # a window and a thinned window
             cloud = point_cloud(v, d, cap=cap)
-            assert np.shares_memory(cloud.points, v)
-            assert not cloud.points.flags.writeable
-
-    def test_cloud_shape_validation(self):
-        with pytest.raises(ValueError, match="dimension"):
-            PointCloud(3, np.zeros((5, 2)))
+            assert np.shares_memory(cloud, v)
+            assert not cloud.flags.writeable
 
 
 @pytest.fixture(scope="module")
@@ -438,11 +433,11 @@ class TestExports:
         export_cloud_svg(pairs, tmp_path / "p.svg")
         save_sample(values, tmp_path / "s.txt")
         for cloud, name in ((pairs, "p.csv"), (triples, "t.csv")):
-            header = ",".join(f"x{i + 1}" for i in range(cloud.dimension))
-            rows = [",".join(repr(float(v)) for v in row) for row in cloud.points]
+            header = ",".join(f"x{i + 1}" for i in range(cloud.shape[1]))
+            rows = [",".join(repr(float(v)) for v in row) for row in cloud]
             assert (tmp_path / name).read_text() == "\n".join([header, *rows]) + "\n"
         circles = [f'<circle cx="{round(x * 800, 2)}" cy="{round(800 - y * 800, 2)}" '
-                   f'r="1" fill="black"/>' for x, y in pairs.points]
+                   f'r="1" fill="black"/>' for x, y in pairs]
         svg = (tmp_path / "p.svg").read_text().splitlines()
         assert svg[2:-1] == circles
         lines = [f"# rngaudit-sample v1 {values.provenance}",
@@ -472,13 +467,13 @@ class TestExports:
                 clouds.append(point_cloud(draw[:rows + d - 1], d,
                                           cap=max(1, rows // (d + stride))))
             else:  # a hand-built cloud that is no window
-                clouds.append(PointCloud(d, draw[:rows * d].reshape(rows, d)))
+                clouds.append(draw[:rows * d].reshape(rows, d))
         out = tmp_path_factory.mktemp("csv")
         paths = [out / f"c{i}.csv" for i in range(len(clouds))]
         assert export_cloud_csv(clouds, paths) == sum(map(len, clouds))
         for cloud, path in zip(clouds, paths):
-            header = ",".join(f"x{i + 1}" for i in range(cloud.dimension))
-            want = [header, *(",".join(repr(float(v)) for v in row) for row in cloud.points),
+            header = ",".join(f"x{i + 1}" for i in range(cloud.shape[1]))
+            want = [header, *(",".join(repr(float(v)) for v in row) for row in cloud),
                     ""]
             got = path.read_text().split("\n")
             # the first differing line, not a diff of the whole text, which
@@ -508,6 +503,13 @@ class TestExports:
             tracemalloc.stop()
         assert rows == 2**19 + 1
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("cloud", [np.zeros(4), np.zeros((4, 2), dtype=np.float32),
+                                       [[0.1, 0.2]]])
+    def test_csv_takes_two_dimensional_float64_arrays(self, cloud, tmp_path):
+        with pytest.raises(ValueError, match="2-D float64 array"):
+            export_cloud_csv([cloud], [tmp_path / "c.csv"])
+        assert os.listdir(tmp_path) == []
 
     def test_svg_is_two_dimensional_only(self, tmp_path):
         cloud = point_cloud(np.linspace(0, 0.9, 10), 3)
