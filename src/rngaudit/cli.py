@@ -348,14 +348,14 @@ def _run_generate(args):
         raise ValueError("count must be >= 1")
     gen = make_generator(args.descriptor)
     smp = gen.sample(args.count)
-    target = args.output if args.output else "stdout"
-    config = {"count": args.count, "output": target}
+    # null: the values went to stdout (``-o stdout`` names a file)
+    config = {"count": args.count, "output": args.output or None}
     records = [TestResult("generate", float(args.count), None, None, config, "pass")]
     if args.output:
         job = (args.output, lambda path: save_sample(smp, path))
     else:
         # the values are the output, so they are printed even under --quiet
-        job = (target, lambda _: sys.stdout.writelines(sample_lines(smp)))
+        job = ("stdout", lambda _: sys.stdout.writelines(sample_lines(smp)))
     return gen.descriptor, config, records, config, [job]
 
 
@@ -469,11 +469,12 @@ def _run_period(args):
     detail = {
         "modulus": params.modulus,
         "predicate": predicate,
-        "factorization_error": factor_error,
         "brute_period": brute,
         "brute_cap": args.brute_cap,
         "factor_bound": args.factor_bound,
     }
+    if factor_error is not None:
+        detail["error"] = factor_error
     records = [
         TestResult("full-period", float(brute) if brute is not None else None,
                    None, None, detail, verdict)

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .generators import LcgParams
-from .io import TEXT_BLOCK, atomic_files, atomic_write_text
+from .io import TEXT_BLOCK, atomic_files, atomic_write_text, join_rows, repr_rows
 from .stats import TestResult, _values
 
 __all__ = [
@@ -360,9 +360,9 @@ def export_cloud_csv(clouds, paths) -> int:
     of its value.  The files are written together, TEXT_BLOCK rows of
     every cloud at a time: clouds of one sample hold each value in
     several cells, so each block formats the distinct values of all its
-    clouds once, keyed by their bits (``-0.0`` and ``0.0``, or two NaNs,
-    keep their own text), and builds every file's rows from those
-    strings.  Each file appears whole or not at all.
+    clouds once (``repr_rows``), keyed by their bits (``-0.0`` and
+    ``0.0``, or two NaNs, keep their own text), and gathers every file's
+    cells from those rows.  Each file appears whole or not at all.
     """
     if isinstance(clouds, np.ndarray):
         clouds, paths = [clouds], [paths]
@@ -380,16 +380,11 @@ def export_cloud_csv(clouds, paths) -> int:
             blocks = [c[start:start + TEXT_BLOCK] for c in clouds]
             cells = np.concatenate([b.reshape(-1) for b in blocks])
             bits, index = np.unique(cells.view(np.uint64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            text = repr_rows(bits.view(np.float64))
             end = 0
             for fh, block in zip(handles, blocks):
-                cell = index[end:end + block.size].reshape(block.shape)
+                fh.write(join_rows(text[index[end:end + block.size]], block.shape[1]))
                 end += block.size
-                if len(block):
-                    # a list of cells per column, zipped into rows: faster
-                    # than a list per row
-                    columns = [text[col].tolist() for col in cell.T]
-                    fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
     return sum(len(c) for c in clouds)
 
 

@@ -129,6 +129,19 @@ class TestGenerate:
         assert report["summary"]["count"] == 4
         assert TIMESTAMP_RE.match(report["manifest"]["timestamp"])
 
+    def test_report_says_where_the_sample_went(self, tmp_path, monkeypatch, capsys):
+        # null for stdout, the path for a file, even a file named "stdout"
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for extra in ([], ["-o", "stdout"], ["-o", "s.txt"]):
+            main(["generate", TINY, "-n", "3", *extra, "--quiet", "--json", "r.json"])
+            report = _load_report(tmp_path / "r.json")  # the schema takes null
+            outputs.append({report["manifest"]["config"]["output"],
+                            report["results"][0]["detail"]["output"],
+                            report["summary"]["output"]})
+        assert outputs == [{None}, {"stdout"}, {"s.txt"}]
+        assert (tmp_path / "stdout").read_text() == (tmp_path / "s.txt").read_text()
+
 
 # ---------------------------------------------------------------------------
 # test (the battery)
@@ -460,7 +473,10 @@ class TestPeriodCommand:
         report = _load_report(out)
         assert report["summary"]["verdict"] == "error"
         assert report["summary"]["full_period"] is None
-        assert "bound" in report["results"][0]["detail"]["factorization_error"]
+        assert "bound" in report["results"][0]["detail"]["error"]
+        assert "factorization_error" not in report["results"][0]["detail"]
+        # the summary says why, as for any error record
+        assert "  error: cofactor " in capsys.readouterr().out
 
     def test_non_congruential_descriptor_is_usage_error(self):
         assert main(["period", "mt:seed=1", "--quiet"]) == EXIT_USAGE

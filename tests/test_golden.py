@@ -114,7 +114,7 @@ def test_report_matches_golden(runs, index):
 def test_every_summary_ends_with_its_verdict(runs):
     # generate without -o prints the sample file and nothing else
     ends = [(got["stdout"].splitlines()[-1], got["payload"]["summary"]["verdict"])
-            for got in runs if got["payload"]["summary"].get("output") != "stdout"]
+            for got in runs if got["argv"][0] != "generate" or "-o" in got["argv"]]
     assert len(ends) == len(CASES) - 1
     assert all(last.startswith(f"=> {verdict} (") for last, verdict in ends)
 

@@ -1,12 +1,18 @@
-"""Tests for the temp-and-rename writer behind every file the tools write."""
+"""Tests for the temp-and-rename writer behind every file the tools write,
+and for the vectorised ``repr`` that writes sample files and cloud CSVs."""
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rngaudit.io import atomic_files, atomic_write_text
+from rngaudit.generators import make_generator
+from rngaudit.io import (TEXT_BLOCK, atomic_files, atomic_write_text, join_rows,
+                         repr_rows, repr_text, sample_lines)
 
 
 def _temp_files(directory):
@@ -56,3 +62,96 @@ class TestAtomicFiles:
         assert (tmp_path / "s.txt").read_text() == "whole\n"
         assert (tmp_path / "p.txt").read_text() == "ab\n"
         assert _temp_files(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# repr_text against CPython's repr, one value at a time
+
+
+def per_value_repr(values) -> str:
+    """The reference: what the sample writer did before repr_text."""
+    return "".join([f"{v!r}\n" for v in np.asarray(values, np.float64).tolist()])
+
+
+def assert_repr_text(values, block=1 << 16):
+    values = np.asarray(values, np.float64).reshape(-1)
+    for start in range(0, values.size, block):
+        part = values[start:start + block]
+        got, want = repr_text(part), per_value_repr(part)
+        if got != want:
+            # the first differing value, not a diff of megabytes of text
+            bad = next(((v, g, w) for v, g, w in
+                        zip(part.tolist(), got.split("\n"), want.split("\n")) if g != w),
+                       ("a line count", got.count("\n"), want.count("\n")))
+            pytest.fail(f"repr_text gives {bad[1]!r} for {bad[0]!r}, repr {bad[2]!r}")
+
+
+def bit_patterns(lo, hi, size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(lo, hi, size=size, dtype=np.uint64, endpoint=True).view(np.float64)
+
+
+class TestReprText:
+    def test_dyadic_grid(self):
+        # every k / 2**20: the grid where rounding ties and short digit
+        # strings are dense
+        assert_repr_text(np.arange(1 << 20) / 2.0**20)
+
+    def test_sample_file_of_the_coarser_grid(self):
+        values = np.arange(1 << 18) / 2.0**18
+        sample = make_generator("lcg:m=262144,a=1,c=1,seed=0").sample(1 << 18)
+        assert np.array_equal(np.sort(sample.values), values)
+        text = "".join(sample_lines(sample)).partition("\n")[2]
+        assert text == per_value_repr(sample.values)
+
+    @pytest.mark.parametrize("descriptor", ["mt:seed=5489", "lcg:m=2147483647,a=16807,c=0,seed=1",
+                                            "wh:seed1=1,seed2=2,seed3=3"])
+    def test_first_values_of_each_generator_family(self, descriptor):
+        assert_repr_text(make_generator(descriptor).generate(1 << 20))
+
+    def test_random_bit_patterns(self):
+        inside = (np.float64(1e-4).view(np.uint64), np.float64(1.0).view(np.uint64) - 1)
+        assert_repr_text(bit_patterns(*inside, 1 << 20, seed=1))
+        # everywhere, mostly outside [1e-4, 1): the fallback, in the same blocks
+        assert_repr_text(bit_patterns(0, 2**64 - 1, 1 << 18, seed=2))
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e-3, 0.01, 0.1, 1.0])
+    def test_neighbours_of_the_decimal_edges(self, edge):
+        # where the count of zeros after "0." changes, and where the fast
+        # range ends; 2000 floats on either side
+        bits = np.float64(edge).view(np.uint64) + np.arange(-2000, 2001).astype(np.uint64)
+        assert_repr_text(bits.view(np.float64))
+
+    def test_powers_of_two_and_short_decimals(self):
+        assert_repr_text(2.0 ** -np.arange(1075))
+        assert_repr_text([k / 10**d for d in range(1, 9) for k in range(1, min(10**d, 10**4))])
+        assert_repr_text([1 - 2.0**-53, 0.1 + 2**-56, 1e-4 * (1 + 2**-52)])
+
+    def test_values_outside_the_fast_range(self):
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                   -2.2250738585072014e-308, 9.999999999999999e-05, -0.5, 1.0, 1.5, 1e16,
+                   1.7976931348623157e308, 0.25]
+        assert_repr_text(special)
+        assert_repr_text(np.array([]))
+        assert repr_text(np.array([])) == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40)
+           | st.lists(st.floats(1e-4, 1.0, exclude_max=True).map(
+               lambda f: int(np.float64(f).view(np.uint64))), max_size=40))
+    def test_any_bit_patterns(self, patterns):
+        assert_repr_text(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    def test_rows_join_into_comma_separated_lines(self):
+        values = np.array([[0.5, -0.0, 0.125], [np.nan, 1e-05, 0.3]])
+        rows = repr_rows(values)
+        assert rows.shape == (6, 32)
+        assert join_rows(rows, 3) == "0.5,-0.0,0.125\nnan,1e-05,0.3\n"
+        assert join_rows(repr_rows(values[:, :1])) == "0.5\nnan\n"
+
+    def test_sample_lines_come_in_text_blocks(self):
+        sample = make_generator("mt:seed=2").sample(2 * TEXT_BLOCK + 5)
+        pieces = list(sample_lines(sample))
+        assert pieces[0] == "# rngaudit-sample v1 mt:seed=2\n"
+        assert [p.count("\n") for p in pieces[1:]] == [TEXT_BLOCK, TEXT_BLOCK, 5]
+        assert "".join(pieces[1:]) == per_value_repr(sample.values)

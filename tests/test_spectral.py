@@ -482,6 +482,20 @@ class TestExports:
             assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
                         None) is None
 
+    def test_csv_cells_outside_the_fast_range_keep_their_repr(self, tmp_path):
+        # one block holding every kind of value the exact formatter leaves
+        # to repr: both zeros, NaNs, negatives, values >= 1 and below 1e-4
+        cells = [-0.0, 0.0, math.nan, -math.nan, -0.5, -3.0, 1.0, 2.5, 1e16, 1e22,
+                 5e-324, 1e-05, 9.999999999999999e-05, 0.0001, 0.5, 0.3]
+        values = np.array(cells * 3)
+        clouds = [values.reshape(-1, 2), point_cloud(values, 3)]
+        paths = [tmp_path / "p.csv", tmp_path / "t.csv"]
+        export_cloud_csv(clouds, paths)
+        for cloud, path in zip(clouds, paths):
+            lines = path.read_text().splitlines()[1:]
+            assert lines == [",".join(map(repr, row)) for row in cloud.tolist()]
+        assert "-0.0,0.0" in paths[0].read_text() and "nan,nan" in paths[0].read_text()
+
     def test_csv_takes_one_path_per_cloud(self, tmp_path):
         cloud = point_cloud(np.linspace(0, 0.9, 10), 2)
         with pytest.raises(ValueError, match="one path per cloud"):
