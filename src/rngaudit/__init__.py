@@ -22,7 +22,6 @@ from .generators import (
 from .io import save_sample, load_sample
 from .battery import BatteryConfig, BatteryReport, run_battery
 from .spectral import (
-    spectral_accuracy,
     spectral_accept,
     acceptance_threshold,
     point_cloud,
@@ -45,7 +44,6 @@ __all__ = [
     "BatteryConfig",
     "BatteryReport",
     "run_battery",
-    "spectral_accuracy",
     "spectral_accept",
     "acceptance_threshold",
     "point_cloud",

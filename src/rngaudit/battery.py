@@ -21,7 +21,6 @@ import numpy as np
 
 from .stats import (
     DEFAULT_ALPHA,
-    BinnedCounts,
     TestResult,
     anderson_darling_uniform,
     chi_square_gof,
@@ -71,6 +70,8 @@ class BatteryConfig:
     bonferroni: bool = False
 
     def __post_init__(self):
+        if not self.tests:
+            raise ValueError("tests must name at least one test family")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not 2 <= self.permutation_k <= 8:
@@ -195,8 +196,7 @@ def permutation_test(
         index += digit * math.factorial(k - 1 - i)
     ties = int(tie_rows.sum())
     counts = np.bincount(index, minlength=kfact)
-    binned = BinnedCounts(counts, np.full(kfact, expected), kfact - 1)
-    result = chi_square_gof(binned, alpha, name="permutation")
+    result = chi_square_gof(counts, np.full(kfact, expected), alpha, name="permutation")
     result.detail.update(
         {"k": k, "mode": mode, "n_tuples": int(t), "tied_tuples": ties}
     )
@@ -244,8 +244,7 @@ def serial_test(
     for pos in range(l):
         cells = cells * d + digits[:, pos]
     counts = np.bincount(cells, minlength=k)
-    binned = BinnedCounts(counts, np.full(k, lam), k - 1)
-    result = chi_square_gof(binned, alpha, name="serial")
+    result = chi_square_gof(counts, np.full(k, lam), alpha, name="serial")
     result.detail.update(
         {"d": d, "l": l, "cells": int(k), "mode": mode, "n_tuples": int(t)}
     )
@@ -318,8 +317,7 @@ def birthday_spacings_test(
     pooled_c, pooled_e = _merge_bins(counts, expected)
     if pooled_c.size < 2:
         raise ValueError("too few blocks for a spacing histogram; increase the sample")
-    binned = BinnedCounts(pooled_c, pooled_e, pooled_c.size - 1)
-    result = chi_square_gof(binned, alpha, name="birthday-spacings")
+    result = chi_square_gof(pooled_c, pooled_e, alpha, name="birthday-spacings")
     result.detail.update(
         {
             "n": int(n),
@@ -369,8 +367,8 @@ def global_uniformity(
     ]
     bins = np.bincount(np.minimum((v * gof_bins).astype(np.int64), gof_bins - 1),
                        minlength=gof_bins)
-    binned = BinnedCounts(bins, np.full(gof_bins, n / gof_bins), gof_bins - 1)
-    results.append(chi_square_gof(binned, alpha, name="chi2-uniform"))
+    results.append(chi_square_gof(bins, np.full(gof_bins, n / gof_bins), alpha,
+                                  name="chi2-uniform"))
     results.append(anderson_darling_uniform(v, alpha))
     results[0].detail["empirical_mean"] = float(v.mean())
     results[1].detail["empirical_variance"] = float(v.var(ddof=1))
@@ -416,9 +414,7 @@ def run_battery(sample, config: BatteryConfig | None = None) -> BatteryReport:
         config = BatteryConfig()
     alpha = config.alpha
     if config.bonferroni:
-        planned = sum(_RESULTS_PER_TEST.get(t, 1) for t in config.tests)
-        if planned:
-            alpha = config.alpha / planned
+        alpha = config.alpha / sum(_RESULTS_PER_TEST.get(t, 1) for t in config.tests)
     results: list[TestResult] = []
     errors: list[TestResult] = []
     for name in config.tests:

@@ -376,11 +376,11 @@ def _run_test(args):
         descriptor = gen.descriptor
     else:
         sample = load_sample(src)
-        descriptor = (
-            sample.provenance
-            if sample.provenance.startswith(_DESCRIPTOR_PREFIXES)
-            else None
-        )
+        descriptor = sample.provenance
+        try:
+            make_generator(descriptor)
+        except ValueError:
+            descriptor = None  # the header names no generator this tool can build
     config = _config(BatteryConfig(), args)
     battery = run_battery(sample, config)
     summary = {

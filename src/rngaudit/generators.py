@@ -292,6 +292,8 @@ class MT19937(UniformGenerator):
 
 def _distinct_prime_factors(n: int, bound: int) -> list[int]:
     """Distinct primes dividing n, certified by trial division up to bound."""
+    if bound < 0:
+        raise ValueError(f"trial-division bound must be >= 0, got {bound}")
     if n < 2:
         return []
     factors = []

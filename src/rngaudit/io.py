@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-import tempfile
 import warnings
 
 import numpy as np
@@ -72,16 +71,13 @@ def atomic_files(paths):
     """
     paths = [os.fspath(p) for p in paths]
     temps, handles, renamed = [], [], 0
-    # mkstemp makes every file 0600; the umask can only be read by setting it
-    umask = os.umask(0)
-    os.umask(umask)
     try:
         for path in paths:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=_TMP_PREFIX)
+            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               _TMP_PREFIX + os.urandom(8).hex())
+            # "x" creates the file (O_EXCL), so a name that exists is an error
+            handles.append(open(tmp, "x"))
             temps.append(tmp)
-            handles.append(os.fdopen(fd, "w"))
-            os.chmod(tmp, 0o666 & ~umask)
         yield handles
         for fh in handles:
             fh.close()

@@ -32,7 +32,6 @@ from .stats import TestResult, _values
 __all__ = [
     "dual_lattice_basis",
     "shortest_vector",
-    "spectral_accuracy",
     "spectral_accuracy_sq",
     "spectral_accept",
     "acceptance_threshold",
@@ -47,6 +46,8 @@ __all__ = [
 ACCEPT_DIMS = (2, 3, 4, 5, 6)
 MAX_DIM = 8
 CLOUD_POINT_CAP = 2**20
+# plane_membership: the largest distance from the plane family that still fits it
+PLANE_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +244,6 @@ def spectral_accuracy_sq(params: LcgParams, d: int) -> tuple[int, list[int]]:
     return _norm_sq(vec), vec
 
 
-def spectral_accuracy(params: LcgParams, d: int) -> float:
-    """Accuracy nu_d as a float: sqrt of the exact squared norm."""
-    sq, _ = spectral_accuracy_sq(params, d)
-    return math.sqrt(sq)
-
-
 # ---------------------------------------------------------------------------
 # acceptance rule
 
@@ -323,14 +318,14 @@ def point_cloud(sample, d: int, cap: int = CLOUD_POINT_CAP) -> np.ndarray:
     return thin(pts, cap)
 
 
-def plane_membership(cloud: np.ndarray, dual_vector, slack: float = 1e-9) -> dict:
+def plane_membership(cloud: np.ndarray, dual_vector) -> dict:
     """How well the cloud fits the plane family of a dual vector.
 
     For a dual vector u the quantity u . x of every tuple x should sit a
     fixed fractional offset away from an integer.  Returns the maximal
     deviation from the first tuple's offset (wrapped to [0, 1/2]), the
     number of distinct planes hit, and whether all points lie within
-    ``slack`` of the family.
+    ``PLANE_SLACK`` of the family.
     """
     u = np.asarray(dual_vector, dtype=np.float64)
     if u.shape != cloud.shape[1:]:
@@ -348,7 +343,7 @@ def plane_membership(cloud: np.ndarray, dual_vector, slack: float = 1e-9) -> dic
         "offset": offset,
         "max_deviation": max_dev,
         "n_planes": int(plane_ids.size),
-        "within_slack": bool(max_dev <= slack),
+        "within_slack": bool(max_dev <= PLANE_SLACK),
     }
 
 
@@ -392,15 +387,15 @@ SVG_SIZE = 800
 SVG_MAX_POINTS = 32768
 
 
-def export_cloud_svg(cloud: np.ndarray, path, max_points: int = SVG_MAX_POINTS) -> int:
+def export_cloud_svg(cloud: np.ndarray, path) -> int:
     """Scatter a 2-D cloud into an 800x800 SVG; returns the points drawn.
 
-    Clouds larger than ``max_points`` are thinned by stride sampling so
-    the file stays viewable.
+    Clouds larger than ``SVG_MAX_POINTS`` are thinned by stride sampling
+    so the file stays viewable.
     """
     if cloud.shape[1:] != (2,):
         raise ValueError("SVG export is 2-D only")
-    pts = thin(cloud, max_points)
+    pts = thin(cloud, SVG_MAX_POINTS)
     s = SVG_SIZE
 
     def chunks():

@@ -25,6 +25,8 @@ DEFAULT_ALPHA = 0.01
 _ITMAX = 500
 _EPS = 1e-15
 _FPMIN = 1e-300
+# anderson_darling_uniform clamps values into [_AD_CLAMP, 1 - _AD_CLAMP]
+_AD_CLAMP = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -368,39 +370,6 @@ def summary_verdict(records, passed: str = "pass") -> str:
     return "error" if "error" in verdicts else passed
 
 
-@dataclass
-class BinnedCounts:
-    """Observed counts with their expectations for a chi-square test."""
-
-    counts: np.ndarray
-    expected: np.ndarray
-    degrees_of_freedom: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        expected = np.asarray(self.expected, dtype=np.float64)
-        if counts.ndim != 1 or expected.shape != counts.shape:
-            raise ValueError("counts and expected must be matching 1-D arrays")
-        if counts.size < 2:
-            raise ValueError("need at least two bins")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
-        if np.any(expected <= 0.0):
-            raise ValueError("expected count 0 is not allowed")
-        if np.any(expected < 1.0):
-            raise ValueError("expected counts below 1 break the chi-square approximation")
-        total_c = float(counts.sum())
-        total_e = float(expected.sum())
-        if total_c > 0 and abs(total_c - total_e) > 1e-6 * max(total_c, total_e):
-            raise ValueError(
-                f"count total {total_c} and expected total {total_e} disagree"
-            )
-        if not 1 <= self.degrees_of_freedom <= counts.size - 1:
-            raise ValueError("degrees of freedom must lie in [1, bins - 1]")
-        self.counts = counts
-        self.expected = expected
-
-
 def _values(sample) -> np.ndarray:
     """Accept a Sample or a bare array-like of uniforms."""
     values = getattr(sample, "values", sample)
@@ -411,18 +380,38 @@ def _values(sample) -> np.ndarray:
 # tests
 
 def chi_square_gof(
-    binned: BinnedCounts, alpha: float = DEFAULT_ALPHA, name: str = "chi2-gof"
+    counts, expected, alpha: float = DEFAULT_ALPHA, name: str = "chi2-gof"
 ) -> TestResult:
-    """Pearson chi-square goodness of fit for pre-binned counts."""
-    dev = binned.counts - binned.expected
-    stat = float(np.sum(dev * dev / binned.expected))
-    p = chi_square_sf(stat, binned.degrees_of_freedom)
+    """Pearson chi-square goodness of fit of binned counts against their
+    expectations, with bins - 1 degrees of freedom."""
+    counts = np.asarray(counts, dtype=np.int64)
+    expected = np.asarray(expected, dtype=np.float64)
+    if counts.ndim != 1 or expected.shape != counts.shape:
+        raise ValueError("counts and expected must be matching 1-D arrays")
+    if counts.size < 2:
+        raise ValueError("need at least two bins")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    if np.any(expected <= 0.0):
+        raise ValueError("expected count 0 is not allowed")
+    if np.any(expected < 1.0):
+        raise ValueError("expected counts below 1 break the chi-square approximation")
+    total_c = float(counts.sum())
+    total_e = float(expected.sum())
+    if total_c > 0 and abs(total_c - total_e) > 1e-6 * max(total_c, total_e):
+        raise ValueError(
+            f"count total {total_c} and expected total {total_e} disagree"
+        )
+    dev = counts - expected
+    stat = float(np.sum(dev * dev / expected))
+    df = counts.size - 1
+    p = chi_square_sf(stat, df)
     detail = {
-        "df": int(binned.degrees_of_freedom),
-        "n_bins": int(binned.counts.size),
-        "min_expected": float(binned.expected.min()),
+        "df": df,
+        "n_bins": int(counts.size),
+        "min_expected": float(expected.min()),
     }
-    low = int(np.sum(binned.expected < 5.0))
+    low = int(np.sum(expected < 5.0))
     if low:
         detail["bins_below_5_expected"] = low
         warnings.warn(
@@ -482,25 +471,23 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def anderson_darling_uniform(
-    sample, alpha: float = DEFAULT_ALPHA, eps: float = 1e-12
-) -> TestResult:
+def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Anderson-Darling statistic against the uniform law on [0, 1).
 
     A^2 = -(n^2 + S) / n with S = sum_i (2i - 1)(log v_i + log(1 - v_(n+1-i))).
     Since |S| ~ n^2 while A^2 ~ 1, n^2 and the terms of S are summed
     exactly (to the last bit) before the single division, which leaves
     only the rounding of the logarithms: absolute error ~2e-14 at n = 1e5.
-    Values are clamped into [eps, 1 - eps] before taking logs so that
-    exact endpoint observations produce a huge statistic instead of an
-    infinity.  The p-value is the asymptotic fully-specified-null one.
+    Values are clamped into [_AD_CLAMP, 1 - _AD_CLAMP] before taking logs
+    so that exact endpoint observations produce a huge statistic instead
+    of an infinity.  The p-value is the asymptotic fully-specified-null one.
     """
     v = np.sort(_values(sample))
     n = v.size
     if n < 1:
         raise ValueError("empty sample")
-    clamped = int(np.sum((v < eps) | (v > 1.0 - eps)))
-    v = np.clip(v, eps, 1.0 - eps)
+    clamped = int(np.sum((v < _AD_CLAMP) | (v > 1.0 - _AD_CLAMP)))
+    v = np.clip(v, _AD_CLAMP, 1.0 - _AD_CLAMP)
     terms = np.empty(n + 1)
     terms[0] = float(n) * n
     body = np.log(v, out=terms[1:])
@@ -558,31 +545,22 @@ def variance_test(
     )
 
 
-def levene_test(
-    sample,
-    groups: int = 10,
-    alpha: float = DEFAULT_ALPHA,
-    center: str = "mean",
-) -> TestResult:
+def levene_test(sample, groups: int = 10, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Levene homogeneity-of-spread test over contiguous equal blocks.
 
     The sample is cut into ``groups`` contiguous blocks of equal size
     (a remainder shorter than a block is discarded); spread is measured
-    as |x - center| with the group mean by default, or the median with
-    ``center="median"`` (the Brown-Forsythe variant).  The statistic is
-    referred to F(groups - 1, N - groups).
+    as |x - mean| with the group mean.  The statistic is referred to
+    F(groups - 1, N - groups).
     """
     v = _values(sample)
     if groups < 2:
         raise ValueError("need at least two groups")
-    if center not in ("mean", "median"):
-        raise ValueError("center must be 'mean' or 'median'")
     size = v.size // groups
     if size < 2:
         raise ValueError("groups would have fewer than two observations")
     blocks = v[: groups * size].reshape(groups, size)
-    centers = np.median(blocks, axis=1) if center == "median" else blocks.mean(axis=1)
-    z = np.abs(blocks - centers[:, None])
+    z = np.abs(blocks - blocks.mean(axis=1)[:, None])
     zbar_i = z.mean(axis=1)
     zbar = float(z.mean())
     n_total = groups * size
@@ -600,6 +578,6 @@ def levene_test(
             "groups": int(groups),
             "group_size": int(size),
             "discarded": int(v.size - n_total),
-            "center": center,
+            "center": "mean",
         },
     )

@@ -74,6 +74,7 @@ class TestBatteryConfig:
             {"birthday_k": 1},
             {"levene_groups": 1},
             {"gof_bins": 1},
+            {"tests": ()},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -193,6 +193,15 @@ class TestBatteryCommand:
         assert report["manifest"]["descriptor"] == "mt:seed=2"
         assert report["summary"]["sample_size"] == 20000
 
+    def test_header_that_does_not_parse_is_no_descriptor(self, tmp_path):
+        sample = tmp_path / "bad-seed.txt"
+        sample.write_text("# rngaudit-sample v1 mt:seed=abc\n"
+                          + "".join(f"{i / 1000}\n" for i in range(1000)))
+        out = tmp_path / "r.json"
+        main(["test", str(sample), "--tests", "uniformity", "--quiet",
+              "--json", str(out)])
+        assert _load_report(out)["manifest"]["descriptor"] is None
+
     def test_headerless_file_has_no_descriptor(self, tmp_path):
         sample = tmp_path / "ext.txt"
         sample.write_text("".join(f"{i / 1000}\n" for i in range(1000)))
@@ -266,6 +275,11 @@ class TestBatteryCommand:
     def test_invalid_battery_flag_is_usage_error(self, capsys):
         assert main(["test", "mt:", "-n", "20000", "--serial-d", "1",
                      "--quiet"]) == EXIT_USAGE
+
+    def test_empty_family_list_is_usage_error(self, capsys):
+        assert main(["test", "mt:seed=1", "-n", "1000", "--tests", ",",
+                     "--quiet"]) == EXIT_USAGE
+        assert "at least one test family" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +494,13 @@ class TestPeriodCommand:
 
     def test_non_congruential_descriptor_is_usage_error(self):
         assert main(["period", "mt:seed=1", "--quiet"]) == EXIT_USAGE
+
+    def test_negative_factor_bound_is_usage_error(self, capsys):
+        # bound**2 = 25 would certify the cofactor 9 of m = 18 as a prime
+        code = main(["period", "lcg:m=18,a=7,c=1,seed=0", "--factor-bound", "-5",
+                     "--quiet"])
+        assert code == EXIT_USAGE
+        assert "bound must be >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,25 @@ class TestAtomicFiles:
                 pass
         assert os.listdir(tmp_path) == []
 
+    def test_writes_without_setting_the_umask(self, tmp_path, monkeypatch):
+        # setting the umask, if only to read it, changes it for every thread
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        atomic_write_text(tmp_path / "s.txt", "text\n")
+        assert (tmp_path / "s.txt").read_text() == "text\n"
+        assert _temp_files(tmp_path) == []
+
+    def test_existing_temp_name_is_left_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "urandom", bytes)
+        taken = tmp_path / (".rngaudit-tmp-" + bytes(8).hex())
+        taken.write_text("not ours\n")
+        with pytest.raises(FileExistsError):
+            atomic_write_text(tmp_path / "s.txt", "text\n")
+        assert taken.read_text() == "not ours\n"
+        assert not (tmp_path / "s.txt").exists()
+
     def test_text_from_one_string_or_pieces(self, tmp_path):
         atomic_write_text(tmp_path / "s.txt", "whole\n")
         atomic_write_text(tmp_path / "p.txt", iter(["a", "b\n"]))

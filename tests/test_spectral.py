@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from rngaudit.generators import LcgParams, make_generator
 from rngaudit.io import save_sample
 from rngaudit.spectral import (
+    SVG_MAX_POINTS,
     _lll_reduce,
     _round_half_even,
     acceptance_threshold,
@@ -28,7 +29,6 @@ from rngaudit.spectral import (
     point_cloud,
     shortest_vector,
     spectral_accept,
-    spectral_accuracy,
     spectral_accuracy_sq,
 )
 from rngaudit.stats import summary_verdict
@@ -157,9 +157,8 @@ class TestSpectralAccuracy:
         sq, vec = spectral_accuracy_sq(LcgParams(10, 7, 7, 7), 2)
         assert sq == 10
         assert sum(x * x for x in vec) == 10
-        assert spectral_accuracy(LcgParams(10, 7, 7, 7), 2) == pytest.approx(
-            math.sqrt(10), rel=REL
-        )
+        nu = math.sqrt(spectral_accuracy_sq(LcgParams(10, 7, 7, 7), 2)[0])
+        assert nu == pytest.approx(math.sqrt(10), rel=REL)
 
     @pytest.mark.parametrize(
         "d,expected",
@@ -419,10 +418,11 @@ class TestExports:
         assert text.count("<circle") == 49
 
     def test_svg_thins_large_clouds(self, tmp_path):
-        cloud = point_cloud(np.linspace(0, 0.99, 11), 2)  # 10 pairs
-        drawn = export_cloud_svg(cloud, tmp_path / "s.svg", max_points=4)
-        assert drawn == 4  # stride ceil(10/4) = 3 keeps ceil(10/3) = 4
-        assert (tmp_path / "s.svg").read_text().count("<circle") == 4
+        pairs = SVG_MAX_POINTS + 10
+        cloud = point_cloud(np.linspace(0, 0.99, pairs + 1), 2)
+        drawn = export_cloud_svg(cloud, tmp_path / "s.svg")
+        assert drawn == pairs // 2  # stride ceil(pairs / SVG_MAX_POINTS) = 2
+        assert (tmp_path / "s.svg").read_text().count("<circle") == drawn
 
     def test_bytes_equal_per_element_formatting(self, tmp_path):
         # more rows than one text block, so block edges are covered
