@@ -292,8 +292,6 @@ class MT19937(UniformGenerator):
 
 def _distinct_prime_factors(n: int, bound: int) -> list[int]:
     """Distinct primes dividing n, certified by trial division up to bound."""
-    if bound < 0:
-        raise ValueError(f"trial-division bound must be >= 0, got {bound}")
     if n < 2:
         return []
     factors = []
@@ -333,6 +331,8 @@ def full_period_predicate(
     factor list cannot be certified within the bound a FactorizationError
     is raised instead of guessing.
     """
+    if factor_bound < 0:
+        raise ValueError(f"trial-division bound must be >= 0, got {factor_bound}")
     m = params.modulus
     if math.gcd(params.increment, m) != 1:
         return False

@@ -495,10 +495,12 @@ class TestPeriodCommand:
     def test_non_congruential_descriptor_is_usage_error(self):
         assert main(["period", "mt:seed=1", "--quiet"]) == EXIT_USAGE
 
-    def test_negative_factor_bound_is_usage_error(self, capsys):
-        # bound**2 = 25 would certify the cofactor 9 of m = 18 as a prime
-        code = main(["period", "lcg:m=18,a=7,c=1,seed=0", "--factor-bound", "-5",
-                     "--quiet"])
+    # c=1: bound**2 = 25 would certify the cofactor 9 of m = 18 as a prime;
+    # c=3: gcd(c, m) = 3 decides the predicate before any factoring
+    @pytest.mark.parametrize("spec", ["lcg:m=18,a=7,c=1,seed=0",
+                                      "lcg:m=18,a=7,c=3,seed=0"])
+    def test_negative_factor_bound_is_usage_error(self, spec, capsys):
+        code = main(["period", spec, "--factor-bound", "-5", "--quiet"])
         assert code == EXIT_USAGE
         assert "bound must be >= 0" in capsys.readouterr().err
 

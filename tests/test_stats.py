@@ -191,7 +191,7 @@ class TestResultContainer:
 
 
 class TestBinnedCounts:
-    """The checks chi_square_gof makes on its binned counts and expectations."""
+    """Input checks of chi_square_gof, which absorbed the BinnedCounts class."""
 
     def test_accepts_matching_totals(self):
         assert chi_square_gof(np.array([5, 5]), np.array([5.0, 5.0])).detail["df"] == 1
