@@ -3,8 +3,7 @@
 Families: a global-uniformity composite (location, scale, spread
 homogeneity, and three distributional distances), a permutation
 orderings test, a serial d-ary tuple test, and a birthday-spacings
-test.  Tuple-based tests use disjoint tuples by default; overlapping
-windows are available behind ``tuple_mode="overlapping"``.
+test.  The tuple-based tests cut the sample into disjoint tuples.
 
 The battery runs every enabled family, never aborts on a single
 family's failure (errors become report entries), and applies no
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stats import (
+    CHI2_MIN_EXPECTED,
     DEFAULT_ALPHA,
     TestResult,
     anderson_darling_uniform,
@@ -40,8 +40,6 @@ __all__ = [
     "permutation_test",
     "serial_test",
     "birthday_spacings_test",
-    "rank_pattern",
-    "pattern_index",
     "TEST_REGISTRY",
 ]
 
@@ -64,7 +62,6 @@ class BatteryConfig:
     serial_l: int = 2
     birthday_n: int = 512
     birthday_k: int = 2**24
-    tuple_mode: str = "disjoint"
     levene_groups: int = 10
     gof_bins: int = 100
     bonferroni: bool = False
@@ -80,8 +77,6 @@ class BatteryConfig:
             raise ValueError("serial_d must be >= 2")
         if self.serial_l < 1:
             raise ValueError("serial_l must be >= 1")
-        if self.tuple_mode not in ("disjoint", "overlapping"):
-            raise ValueError("tuple_mode must be 'disjoint' or 'overlapping'")
         if self.birthday_n < 2:
             raise ValueError("birthday_n must be >= 2")
         if self.birthday_k < 2:
@@ -107,82 +102,41 @@ class BatteryReport:
         self.n_rejections = sum(1 for r in self.results if r.verdict == "reject")
 
 
-def _tuples(values: np.ndarray, k: int, mode: str) -> np.ndarray:
-    """View the sample as tuples of k successive values."""
-    n = values.size
-    if mode == "disjoint":
-        t = n // k
-        if t < 1:
-            raise ValueError(f"sample too short for tuples of {k}")
-        return values[: t * k].reshape(t, k)
-    if mode == "overlapping":
-        if n < k:
-            raise ValueError(f"sample too short for tuples of {k}")
-        return np.lib.stride_tricks.sliding_window_view(values, k)
-    raise ValueError("mode must be 'disjoint' or 'overlapping'")
+def _tuples(values: np.ndarray, k: int) -> np.ndarray:
+    """View the sample as disjoint tuples of k successive values."""
+    t = values.size // k
+    if t < 1:
+        raise ValueError(f"sample too short for tuples of {k}")
+    return values[: t * k].reshape(t, k)
 
 
 # ---------------------------------------------------------------------------
 # permutation orderings
 
-def rank_pattern(values) -> tuple[int, ...]:
-    """Rank of each position within its tuple, 1 = smallest.
-
-    Ties resolve by position: the earlier index receives the lower rank.
-    (0.8, 0.1, 0.2, 0.05) -> (4, 2, 3, 1).
-    """
-    v = list(values)
-    k = len(v)
-    ranks = []
-    for i, x in enumerate(v):
-        r = 1
-        for j, other in enumerate(v):
-            if other < x or (other == x and j < i):
-                r += 1
-        ranks.append(r)
-    return tuple(ranks)
-
-
-def pattern_index(pattern) -> int:
-    """Bijective index of a rank pattern in 0 .. k! - 1 (its Lehmer code).
-
-    Each position contributes the count of later, smaller ranks weighted
-    by the factorial of the positions remaining after it.
-    """
-    p = list(pattern)
-    k = len(p)
-    if sorted(p) != list(range(1, k + 1)):
-        raise ValueError("pattern must be a permutation of 1..k")
-    index = 0
-    for i in range(k):
-        smaller_later = sum(1 for j in range(i + 1, k) if p[j] < p[i])
-        index += smaller_later * math.factorial(k - 1 - i)
-    return index
-
-
 def permutation_test(
     sample,
     k: int = 3,
-    mode: str = "disjoint",
     alpha: float = DEFAULT_ALPHA,
 ) -> TestResult:
     """Chi-square test of the k! relative-ordering frequencies.
 
-    Every tuple of k successive values is mapped to the index of its
-    rank pattern; the index counts are tested against uniformity over
-    the k! orderings.  Exact ties within a tuple are resolved toward the
-    earlier index, counted, and flagged when they exceed 0.01% of tuples.
+    Every disjoint tuple of k successive values is mapped to the index
+    of its rank pattern (its Lehmer code, 0 .. k! - 1); the index counts
+    are tested against uniformity over the k! orderings.  Exact ties
+    within a tuple are resolved toward the earlier index, counted, and
+    flagged when they exceed 0.01% of tuples.
     """
     if not 2 <= k <= 8:
         raise ValueError("tuple length k must lie in [2, 8]")
     v = _values(sample)
-    tup = _tuples(v, k, mode)
+    tup = _tuples(v, k)
     t = tup.shape[0]
     kfact = math.factorial(k)
     expected = t / kfact
-    if expected < 5.0:
+    if expected < CHI2_MIN_EXPECTED:
         raise ValueError(
-            f"{t} tuples over {kfact} orderings gives expected {expected:.2f} < 5"
+            f"{t} tuples over {kfact} orderings gives expected {expected:.2f}"
+            f" < {CHI2_MIN_EXPECTED:g}"
         )
     # Lehmer digits straight from the values; exact ties fall on the
     # strict-less side, matching the earlier-index-ranks-lower rule.
@@ -198,7 +152,7 @@ def permutation_test(
     counts = np.bincount(index, minlength=kfact)
     result = chi_square_gof(counts, np.full(kfact, expected), alpha, name="permutation")
     result.detail.update(
-        {"k": k, "mode": mode, "n_tuples": int(t), "tied_tuples": ties}
+        {"k": k, "mode": "disjoint", "n_tuples": int(t), "tied_tuples": ties}
     )
     if ties > TIE_WARN_FRACTION * t:
         result.detail["tie_warning"] = True
@@ -215,28 +169,29 @@ def serial_test(
     sample,
     d: int = 8,
     l: int = 2,
-    mode: str = "disjoint",
     alpha: float = DEFAULT_ALPHA,
 ) -> TestResult:
     """Chi-square test of l-tuples of d-ary digits over all d**l cells.
 
-    Each value contributes the digit floor(x * d); a tuple's cell index
-    reads its digits most significant first.  All cells enter the
-    statistic, referred to chi-square with d**l - 1 degrees.
+    The sample is cut into disjoint l-tuples.  Each value contributes
+    the digit floor(x * d); a tuple's cell index reads its digits most
+    significant first.  All cells enter the statistic, referred to
+    chi-square with d**l - 1 degrees.
     """
     if d < 2:
         raise ValueError("digit base d must be >= 2")
     if l < 1:
         raise ValueError("tuple length l must be >= 1")
     v = _values(sample)
-    tup = _tuples(v, l, mode)
+    tup = _tuples(v, l)
     t = tup.shape[0]
     k = d**l
     lam = t / k
-    if lam < 5.0:
-        d_max = int(math.floor((t / 5.0) ** (1.0 / l)))
+    if lam < CHI2_MIN_EXPECTED:
+        d_max = int(math.floor((t / CHI2_MIN_EXPECTED) ** (1.0 / l)))
         raise ValueError(
-            f"{t} tuples over {k} cells gives expected {lam:.2f} < 5; "
+            f"{t} tuples over {k} cells gives expected {lam:.2f}"
+            f" < {CHI2_MIN_EXPECTED:g}; "
             f"the largest admissible base at this length is d={d_max}"
         )
     digits = np.minimum((tup * d).astype(np.int64), d - 1)
@@ -246,7 +201,7 @@ def serial_test(
     counts = np.bincount(cells, minlength=k)
     result = chi_square_gof(counts, np.full(k, lam), alpha, name="serial")
     result.detail.update(
-        {"d": d, "l": l, "cells": int(k), "mode": mode, "n_tuples": int(t)}
+        {"d": d, "l": l, "cells": int(k), "mode": "disjoint", "n_tuples": int(t)}
     )
     return result
 
@@ -254,14 +209,15 @@ def serial_test(
 # ---------------------------------------------------------------------------
 # birthday spacings
 
-def _merge_bins(counts: np.ndarray, expected: np.ndarray, floor: float = 5.0):
-    """Pool adjacent bins left to right until every pooled bin reaches floor."""
+def _merge_bins(counts: np.ndarray, expected: np.ndarray):
+    """Pool adjacent bins left to right until every pooled bin expects at
+    least ``CHI2_MIN_EXPECTED``."""
     pooled_c, pooled_e = [], []
     acc_c, acc_e = 0, 0.0
     for c, e in zip(counts, expected):
         acc_c += int(c)
         acc_e += float(e)
-        if acc_e >= floor:
+        if acc_e >= CHI2_MIN_EXPECTED:
             pooled_c.append(acc_c)
             pooled_e.append(acc_e)
             acc_c, acc_e = 0, 0.0
@@ -365,6 +321,9 @@ def global_uniformity(
         levene_test(v, levene_groups, alpha),
         ks_test_uniform(v, alpha),
     ]
+    # chi_square_gof's own check, made before the gof_bins-long arrays exist
+    if n < gof_bins:
+        raise ValueError("expected counts below 1 break the chi-square approximation")
     bins = np.bincount(np.minimum((v * gof_bins).astype(np.int64), gof_bins - 1),
                        minlength=gof_bins)
     results.append(chi_square_gof(bins, np.full(gof_bins, n / gof_bins), alpha,
@@ -383,11 +342,11 @@ def _run_uniformity(sample, config, alpha):
 
 
 def _run_permutation(sample, config, alpha):
-    return permutation_test(sample, config.permutation_k, config.tuple_mode, alpha)
+    return permutation_test(sample, config.permutation_k, alpha)
 
 
 def _run_serial(sample, config, alpha):
-    return serial_test(sample, config.serial_d, config.serial_l, config.tuple_mode, alpha)
+    return serial_test(sample, config.serial_d, config.serial_l, alpha)
 
 
 def _run_birthday(sample, config, alpha):

@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--serial-l", type=int, default=None, metavar="L")
     p.add_argument("--birthday-n", type=int, default=None, metavar="N")
     p.add_argument("--birthday-k", type=int, default=None, metavar="K")
-    p.add_argument("--tuple-mode", choices=["disjoint", "overlapping"], default=None)
     p.add_argument("--levene-groups", type=int, default=None, metavar="G")
     p.add_argument("--gof-bins", type=int, default=None, metavar="B")
 

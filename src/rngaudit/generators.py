@@ -418,14 +418,13 @@ class Sample:
 # ---------------------------------------------------------------------------
 # descriptors
 
-def _parse_int_fields(kind: str, text: str, required: tuple[str, ...],
-                      optional: tuple[str, ...] = ()) -> dict[str, int]:
+def _parse_int_fields(kind: str, text: str, keys: tuple[str, ...]) -> dict[str, int]:
     fields: dict[str, int] = {}
     if text:
         for chunk in text.split(","):
             key, sep, value = chunk.partition("=")
             key = key.strip()
-            if not sep or key not in required + optional:
+            if not sep or key not in keys:
                 raise ValueError(f"bad field {chunk!r} in {kind!r} descriptor")
             if key in fields:
                 raise ValueError(f"duplicate field {key!r} in {kind!r} descriptor")

@@ -21,6 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_ALPHA = 0.01
+# Smallest expected bin count at which the chi-square law of Pearson's
+# statistic is trusted: chi_square_gof warns below it, the tuple tests
+# refuse to run below it and birthday spacings pools bins up to it.
+CHI2_MIN_EXPECTED = 5.0
 
 _ITMAX = 500
 _EPS = 1e-15
@@ -411,11 +415,12 @@ def chi_square_gof(
         "n_bins": int(counts.size),
         "min_expected": float(expected.min()),
     }
-    low = int(np.sum(expected < 5.0))
+    low = int(np.sum(expected < CHI2_MIN_EXPECTED))
     if low:
         detail["bins_below_5_expected"] = low
         warnings.warn(
-            f"{name}: {low} bin(s) with expected count below 5", stacklevel=2
+            f"{name}: {low} bin(s) with expected count below {CHI2_MIN_EXPECTED:g}",
+            stacklevel=2,
         )
     return TestResult(name, stat, p, alpha, detail)
 

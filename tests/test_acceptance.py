@@ -11,14 +11,14 @@ import itertools
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from rngaudit.battery import (
     birthday_spacings_test,
-    pattern_index,
-    rank_pattern,
+    permutation_test,
     run_battery,
 )
 from rngaudit.cli import main
@@ -229,22 +229,29 @@ def test_false_positive_rates_within_binomial_band():
 
 
 def test_ordering_index_is_a_bijection():
-    """The rank-pattern index maps the k! orderings one-to-one onto
-    0..k!-1 for every tuple length up to 5, and the worked tuple
-    (0.8, 0.1, 0.2, 0.05) ranks as (4, 2, 3, 1)."""
-    bijective = True
-    for k in range(2, 6):
-        images = sorted(
-            pattern_index(p) for p in itertools.permutations(range(1, k + 1))
-        )
-        if images != list(range(math.factorial(k))):
-            bijective = False
-    example = rank_pattern((0.8, 0.1, 0.2, 0.05))
-    ok = bijective and example == (4, 2, 3, 1)
+    """permutation_test maps the k! orderings one-to-one onto its k!
+    bins for every tuple length it accepts: a sample holding each
+    ordering five times gives statistic exactly 0 for k = 2..8.  It
+    stays 0 when the five sorted tuples are replaced by tuples whose
+    first two values tie, which rank as sorted only if the earlier
+    position ranks lower, and detail.tied_tuples counts those five."""
+    failures = []
+    for k in range(2, 9):
+        tuples = np.array(list(itertools.permutations(range(1, k + 1))), dtype=np.float64)
+        exact = permutation_test(np.tile(tuples / (k + 1), (5, 1)).ravel(), k=k)
+        tuples[0, 1] = tuples[0, 0]  # the sorted ordering comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # five tied tuples can pass the warning share
+            tied = permutation_test(np.tile(tuples / (k + 1), (5, 1)).ravel(), k=k)
+        if not (
+            exact.statistic == 0.0 and exact.detail["tied_tuples"] == 0
+            and tied.statistic == 0.0 and tied.detail["tied_tuples"] == 5
+        ):
+            failures.append(k)
     _criterion(
         "ordering-index-bijection",
-        ok,
-        f"k<=5 exhaustive, example -> {example}",
+        not failures,
+        f"k=2..8 all orderings x5, ties to the earlier position, failing k: {failures}",
     )
 
 

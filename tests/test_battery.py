@@ -2,31 +2,34 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import tracemalloc
+import warnings
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rngaudit import battery
 from rngaudit.battery import (
     BatteryConfig,
     BatteryReport,
     TEST_REGISTRY,
     birthday_spacings_test,
     global_uniformity,
-    pattern_index,
     permutation_test,
-    rank_pattern,
     run_battery,
     serial_test,
 )
 from rngaudit.generators import Sample, make_generator
 
-from oracles import perm_rank
+from oracles import all_rank_vectors, perm_rank
 
 REL = 1e-12
 
@@ -55,7 +58,6 @@ class TestBatteryConfig:
         assert c.serial_l == 2
         assert c.birthday_n == 512
         assert c.birthday_k == 2**24
-        assert c.tuple_mode == "disjoint"
         assert c.levene_groups == 10
         assert c.gof_bins == 100
         assert c.bonferroni is False
@@ -69,12 +71,12 @@ class TestBatteryConfig:
             {"permutation_k": 9},
             {"serial_d": 1},
             {"serial_l": 0},
-            {"tuple_mode": "sliding"},
             {"birthday_n": 1},
             {"birthday_k": 1},
             {"levene_groups": 1},
             {"gof_bins": 1},
             {"tests": ()},
+            {"alpha": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -89,49 +91,76 @@ class TestBatteryConfig:
         assert d["bonferroni"] is True
         assert set(d) == {
             "tests", "alpha", "permutation_k", "serial_d", "serial_l",
-            "birthday_n", "birthday_k", "tuple_mode", "levene_groups",
+            "birthday_n", "birthday_k", "levene_groups",
             "gof_bins", "bonferroni",
         }
 
 
 # ---------------------------------------------------------------------------
-# rank patterns and their indexing
+# rank patterns and their indexing, as permutation_test computes them
+
+
+@functools.cache
+def lexicographic_rank(pattern: tuple[int, ...]) -> int:
+    """Position of a rank pattern among all k! patterns in lexicographic order."""
+    return all_rank_vectors(len(pattern)).index(pattern)
+
+
+def ordering_counts(values, k: int) -> np.ndarray:
+    """The per-ordering counts that permutation_test tests, index by index."""
+    with mock.patch.object(battery, "chi_square_gof", wraps=battery.chi_square_gof) as gof:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # tied tuples warn
+            permutation_test(values, k=k)
+    return gof.call_args.args[0]
+
+
+def ordering_index(values) -> int:
+    """The index permutation_test gives to one tuple: it is repeated
+    until every ordering expects 5 tuples, so one bin holds them all."""
+    k = len(values)
+    counts = ordering_counts(np.tile(values, 5 * math.factorial(k)), k)
+    (index,) = np.flatnonzero(counts)
+    return int(index)
 
 
 class TestRankPattern:
+    """A tuple's rank pattern (1 = smallest, ties to the earlier
+    position) decides its bin: the lexicographic rank of the pattern."""
+
     def test_worked_example(self):
-        assert rank_pattern((0.8, 0.1, 0.2, 0.05)) == (4, 2, 3, 1)
+        # (0.8, 0.1, 0.2, 0.05) ranks as (4, 2, 3, 1)
+        assert ordering_index((0.8, 0.1, 0.2, 0.05)) == lexicographic_rank((4, 2, 3, 1))
 
     def test_sorted_input_is_identity(self):
-        assert rank_pattern((0.1, 0.2, 0.3)) == (1, 2, 3)
+        assert ordering_index((0.1, 0.2, 0.3)) == 0
 
     def test_ties_rank_earlier_position_lower(self):
-        assert rank_pattern((0.5, 0.5)) == (1, 2)
-        assert rank_pattern((0.5, 0.5, 0.1)) == (2, 3, 1)
+        assert ordering_index((0.5, 0.5)) == 0
+        assert ordering_index((0.5, 0.5, 0.1)) == lexicographic_rank((2, 3, 1))
 
-    @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 0.25, 0.5))),
+                    min_size=2, max_size=8))
     def test_matches_sort_based_oracle(self, values):
-        assert rank_pattern(values) == perm_rank(values)
+        expected = lexicographic_rank(perm_rank(values))
+        assert ordering_index(values) == expected
 
 
 class TestPatternIndex:
+    """The ordering index is a bijection onto 0 .. k! - 1."""
+
     def test_identity_and_reversal_are_extremes(self):
-        for k in range(2, 7):
-            assert pattern_index(tuple(range(1, k + 1))) == 0
-            assert pattern_index(tuple(range(k, 0, -1))) == math.factorial(k) - 1
+        for k in range(2, 9):
+            assert ordering_index(np.arange(1, k + 1) / (k + 1)) == 0
+            assert ordering_index(np.arange(k, 0, -1) / (k + 1)) == math.factorial(k) - 1
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_bijection_onto_factorial_range(self, k):
-        images = {pattern_index(p) for p in itertools.permutations(range(1, k + 1))}
-        assert images == set(range(math.factorial(k)))
-
-    @pytest.mark.parametrize("pattern", [(1, 1, 3), (0, 1, 2), (1, 2, 4)])
-    def test_rejects_non_permutations(self, pattern):
-        with pytest.raises(ValueError):
-            pattern_index(pattern)
-
-    def test_composes_with_rank_pattern(self):
-        assert pattern_index(rank_pattern((0.8, 0.1, 0.2, 0.05))) == pattern_index((4, 2, 3, 1))
+        # each ordering five times, as rank vectors scaled into (0, 1)
+        tuples = np.array(all_rank_vectors(k)) / (k + 1)
+        counts = ordering_counts(np.tile(tuples, (5, 1)).ravel(), k)
+        assert counts.tolist() == [5] * math.factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +195,6 @@ class TestPermutationTest:
         )
         r = permutation_test(v, k=k)
         assert r.statistic == pytest.approx(chi2, rel=REL)
-
-    def test_overlapping_mode_uses_every_window(self, mt_small):
-        v = np.asarray(mt_small.values)[:1000]
-        r = permutation_test(v, k=3, mode="overlapping")
-        assert r.detail["n_tuples"] == 998
-        assert r.detail["mode"] == "overlapping"
 
     @pytest.mark.parametrize("k", [1, 9])
     def test_rejects_tuple_length_outside_range(self, k, mt_small):
@@ -345,6 +368,23 @@ class TestGlobalUniformity:
     def test_rejects_short_samples(self):
         with pytest.raises(ValueError, match="100"):
             global_uniformity(np.linspace(0, 0.99, 99))
+
+    def test_more_bins_than_values_fails_before_allocating(self, mt_small):
+        v = np.asarray(mt_small.values)[:20_000]
+        config = BatteryConfig(tests=("uniformity",), gof_bins=5_000_000)
+        tracemalloc.start()
+        try:
+            rep = run_battery(v, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.to_dict() for r in rep.results] == [{
+            "name": "uniformity", "statistic": None, "p_value": None, "alpha": None,
+            "verdict": "error",
+            "detail": {"error": "expected counts below 1 break the chi-square approximation"},
+        }]
+        # two 5e6-long arrays would take 80 MB
+        assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

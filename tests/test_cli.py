@@ -256,12 +256,12 @@ class TestBatteryCommand:
         main(["test", "mt:seed=1", "-n", "20000", "--tests", "uniformity, serial",
               "--alpha", "0.05", "--permutation-k", "4", "--serial-d", "4",
               "--serial-l", "3", "--birthday-n", "256", "--birthday-k", "65536",
-              "--tuple-mode", "overlapping", "--levene-groups", "5", "--gof-bins", "50",
+              "--levene-groups", "5", "--gof-bins", "50",
               "--bonferroni", "--quiet", "--json", str(out)])
         assert _load_report(out)["manifest"]["config"] == {
             "tests": ["uniformity", "serial"], "alpha": 0.05, "permutation_k": 4,
             "serial_d": 4, "serial_l": 3, "birthday_n": 256, "birthday_k": 65536,
-            "tuple_mode": "overlapping", "levene_groups": 5, "gof_bins": 50,
+            "levene_groups": 5, "gof_bins": 50,
             "bonferroni": True,
         }
 
@@ -661,6 +661,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["generate", TINY, "-n", "4", "--wat"])
         assert exc.value.code == 2
+
+    def test_tuple_mode_flag_is_gone(self, capsys):
+        # overlapping tuples broke the chi-square law; only disjoint ones remain
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "mt:seed=1", "--tuple-mode", "overlapping"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tuple-mode" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
