@@ -79,8 +79,9 @@ class BatteryConfig:
             raise ValueError("serial_l must be >= 1")
         if self.birthday_n < 2:
             raise ValueError("birthday_n must be >= 2")
-        if self.birthday_k < 2:
-            raise ValueError("birthday_k must be >= 2")
+        # block values times k must stay below 2**63 for their int64 cast
+        if not 2 <= self.birthday_k <= 2**62:
+            raise ValueError("birthday_k must lie in [2, 2**62]")
         if self.levene_groups < 2:
             raise ValueError("levene_groups must be >= 2")
         if self.gof_bins < 2:
@@ -315,11 +316,13 @@ def global_uniformity(
     n = v.size
     if n < 100:
         raise ValueError("global uniformity needs at least 100 observations")
+    # sorted once for both distance tests, which leave a sorted sample as it is
+    ordered = np.sort(v)
     results = [
         t_test_mean(v, 0.5, alpha),
         variance_test(v, 1.0 / 12.0, alpha),
         levene_test(v, levene_groups, alpha),
-        ks_test_uniform(v, alpha),
+        ks_test_uniform(ordered, alpha),
     ]
     # chi_square_gof's own check, made before the gof_bins-long arrays exist
     if n < gof_bins:
@@ -328,9 +331,9 @@ def global_uniformity(
                        minlength=gof_bins)
     results.append(chi_square_gof(bins, np.full(gof_bins, n / gof_bins), alpha,
                                   name="chi2-uniform"))
-    results.append(anderson_darling_uniform(v, alpha))
-    results[0].detail["empirical_mean"] = float(v.mean())
-    results[1].detail["empirical_variance"] = float(v.var(ddof=1))
+    results.append(anderson_darling_uniform(ordered, alpha))
+    results[0].detail["empirical_mean"] = results[0].detail["mean"]
+    results[1].detail["empirical_variance"] = results[1].detail["variance"]
     return results
 
 

@@ -7,14 +7,14 @@ Large files are written in pieces of ``TEXT_BLOCK`` lines, so none has
 to exist as one string.
 
 A sample file is one decimal value per line (``repr``, so it round-trips
-exactly) after a provenance header line.
+exactly) after a provenance header line.  ``load_sample`` reads it back
+exactly, TEXT_BLOCK values at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import re
 import warnings
 
 import numpy as np
@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 SAMPLE_HEADER_PREFIX = "# rngaudit-sample v1"
-# Text writers format this many lines at a time; a whole large array at
-# once would hold its text and the formatter's work arrays beside it.
+# Text writers format, and load_sample reads, this many lines at a time; a
+# whole large array at once would hold its text and the work arrays beside it.
 TEXT_BLOCK = 1 << 12
 # repr_rows: each value's text in a row of REPR_WIDTH bytes, at most 24 of
 # them, and the byte after the longest text for the character after it.
@@ -55,6 +55,18 @@ _PREFIX = np.frombuffer("".join(f"{'0.' + '0' * z + str(d):\0>8}" for z in range
 # masks of the two words of a row's last 16 digits that clear the last j
 _TAIL = np.frombuffer(b"".join(b"\xff" * (16 - j) + b"\0" * j for j in range(17)),
                       np.uint64).reshape(17, 2).T
+# load_sample: numpy cuts each value's text into a row of READ_WIDTH bytes,
+# the text part of a repr_rows row; they are read TEXT_BLOCK rows at a time.
+READ_WIDTH = TERMINATOR
+# load_sample scans the file for comments in pieces of this many bytes
+SCAN_BLOCK = 1 << 16
+# for each text length n, what _read_rows XORs into the three words of a
+# row: "0" into each NUL byte past the text, and "." ^ "0" into byte 1
+_DIGIT_FILL = np.frombuffer(bytes((0x30 if i >= n else 0) ^ (0x1E if i == 1 else 0)
+                                  for word in range(3) for n in range(READ_WIDTH + 1)
+                                  for i in range(8 * word, 8 * word + 8)),
+                            np.uint64).reshape(3, READ_WIDTH + 1)
+_POW5_22 = 5**22
 # Name prefix of the temporary files, in the directory of their target.
 _TMP_PREFIX = ".rngaudit-tmp-"
 
@@ -214,34 +226,142 @@ def save_sample(sample: Sample, path) -> None:
 
 
 def load_sample(path) -> Sample:
-    """Read a sample file: one value per line, parsed by numpy in one pass.
+    """Read a sample file: one value per line.
 
     Blank lines and lines that start with '#' are skipped anywhere; the
     last provenance header names the sample.  A line that is not one
-    number raises ``path:line: not a number: '...'``.
+    number raises ``path:line: not a number: '...'``.  numpy cuts the
+    values into fixed-width rows and ``_read_rows`` reads them exactly;
+    what it does not take goes through numpy's float parser.
     """
-    provenance = "external file"
-    inline_comment = False
-    with open(path) as fh:
-        text = fh.read()
-    for match in re.finditer(r"#.*", text):
-        head = text[text.rfind("\n", 0, match.start()) + 1:match.start()]
-        inline_comment |= bool(head) and not head.isspace()
-        tail = match[0][len(SAMPLE_HEADER_PREFIX):].strip()
-        if match[0].startswith(SAMPLE_HEADER_PREFIX) and tail:
-            provenance = tail
-    del text  # numpy reads the file itself, in chunks
+    provenance, inline_comment, nul = _scan(path)
     try:
         if inline_comment:
             raise ValueError("a '#' inside a value line")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file without values
-            values = np.loadtxt(path, dtype=np.float64, comments="#", ndmin=2)
-        if values.shape[1] > 1:
-            raise ValueError("more than one value on a line")
+        values = _load_values(path, nul)
     except ValueError as exc:
         raise ValueError(_bad_line(path) or f"{path}: {exc}") from None
-    return Sample(values[:, 0], provenance=provenance)
+    return Sample(values, provenance=provenance)
+
+
+def _scan(path) -> tuple[str, bool, bool]:
+    """The provenance of a file's last named header, whether a '#' follows
+    other text on its line, and whether the file holds a NUL byte.
+
+    Lines end at CR, LF or CRLF.  The file is read SCAN_BLOCK bytes at a
+    time (more while a line goes on) and cut after a line end: a buffer of
+    the whole file, once freed, would make the allocator keep later large
+    arrays on its heap.
+    """
+    provenance, inline, nul = "external file", False, False
+    with open(path, "rb") as fh:
+        rest = b""
+        while True:
+            piece = fh.read(max(SCAN_BLOCK, len(rest)))
+            data = rest + piece
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1 if piece else len(data)
+            data, rest = data[:cut], data[cut:]
+            nul |= b"\0" in data
+            at = data.find(b"#")
+            while at >= 0:
+                newline = data.rfind(b"\n", 0, at)
+                head = data[max(newline, data.rfind(b"\r", newline + 1, at)) + 1:at]
+                inline |= bool(head) and not head.decode().isspace()
+                end = data.find(b"\n", at)
+                end = len(data) if end < 0 else end
+                cr = data.find(b"\r", at, end)
+                end = end if cr < 0 else cr
+                comment = data[at:end].decode()
+                tail = comment[len(SAMPLE_HEADER_PREFIX):].strip()
+                if comment.startswith(SAMPLE_HEADER_PREFIX) and tail:
+                    provenance = tail
+                at = data.find(b"#", end)
+            if not piece:
+                return provenance, inline, nul
+
+
+def _load_values(path, nul: bool) -> np.ndarray:
+    """The values of a sample file, as ``np.loadtxt`` reads them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file without values
+        # a NUL ends a text early in its row: numpy's float parser reads that file
+        rows = np.loadtxt(path, dtype=np.float64 if nul else f"S{READ_WIDTH}",
+                          comments="#", ndmin=2)
+        if rows.shape[1] > 1:
+            raise ValueError("more than one value on a line")
+        if not nul and rows.view(np.uint8)[:, -1].any():
+            del rows  # a text that fills its row may have been cut
+            rows = np.loadtxt(path, dtype=np.float64, comments="#", ndmin=2)
+    if rows.dtype == np.float64:
+        return rows[:, 0]
+    rows = rows.view(np.uint8)
+    values = np.empty(rows.shape[0])
+    read = np.empty(rows.shape[0], bool)
+    for start in range(0, rows.shape[0], TEXT_BLOCK):
+        block = slice(start, start + TEXT_BLOCK)
+        read[block] = _read_rows(rows[block], values[block])
+    others = np.flatnonzero(~read)
+    if others.size:
+        # numpy stored each character of these texts as one byte
+        texts = [t.decode("latin-1") for t in rows[others].view(f"S{READ_WIDTH}")[:, 0].tolist()]
+        values[others] = np.loadtxt(texts, dtype=np.float64, ndmin=1)
+    return values
+
+
+def _read_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Read the texts of ``rows`` (n, READ_WIDTH) uint8, NUL-padded, into
+    ``out`` exactly as ``float`` does, and say which it read.
+
+    It reads the texts "0." + 1-21 digits with a value of at least 1e-4
+    (a nonzero among the first four digits), the form of every ``repr``
+    in [1e-4, 1).  Each other row reads False and its ``out`` is left
+    undefined.  With a NUL read as "0", the 22 digits after "0." come
+    eight at a time from the three 64-bit words of the row, and two
+    multiplies make each eight one number (Lemire 2021): the head
+    H = d1..d14 < 10**14 and c = d15..d22 < 10**8, the value
+    v = (H * 10**8 + c) / 10**22.
+
+    The candidate x0 is round(H / 10**14 + c / 10**22).  10**14 and
+    10**22 are exact doubles, so the two quotients lie within u = 2**-53
+    of their values and their sum w within u * v of v: less than the
+    spacing of doubles at v, and less than half of it just above a power
+    of two.  round(w) is then round(v) or a neighbour of it, so one
+    correction step settles every row (Clinger 1990).
+
+    With x0 = m * 2**-s (m the 53-bit significand), v lies above x0's
+    upper midpoint (2m + 1) / 2**(s + 1) iff
+    D = (H * 10**8 + c) * 2**(s - 21) - 2m * 5**22 > 5**22, and below its
+    lower midpoint iff D < -5**22 (-5**22 / 2 when m = 2**52, where the
+    double below is half as near).  Both products are near 2**100, but
+    D = 2**(s + 1) * 5**22 * (v - x0) and |v - x0| < 1.5 * 2**-s, so
+    |D| < 3 * 5**22 < 2**53 is exact in wrapping 64-bit arithmetic.  Ties
+    cannot occur: v has at most 21 decimal places, and a midpoint below 1
+    at least 54 binary places.
+    """
+    words = rows.view(np.uint64)
+    # (3, n): word j of every row, the NUL bytes past each text made "0"
+    digits = np.take(_DIGIT_FILL, np.strings.str_len(rows.view(f"S{READ_WIDTH}")[:, 0]),
+                     axis=1)
+    digits ^= words.T
+    digits -= 0x3030303030303030
+    # a byte above 9, or a borrow from one below "0", sets a high bit
+    bad = digits + 0x7676767676767676
+    bad |= digits
+    bad = (bad[0] | bad[1] | bad[2]) & 0x8080808080808080
+    digits = digits * 10 + (digits >> 8)
+    digits = ((digits & 0x000000FF000000FF) * (100 + (10**6 << 32))
+              + ((digits >> 16) & 0x000000FF000000FF) * (1 + (10**4 << 32))) >> 32
+    lead, middle, c = digits
+    head = lead * 10**8 + middle
+    np.add(head / 1e14, c / 1e22, out=out)
+    bits = out.view(np.uint64)
+    fraction = bits & _FRACTION
+    scaled = (head * 10**8 + c) << (1054 - (bits >> 52))
+    d = (scaled - ((fraction | (1 << 52)) << 1) * _POW5_22).view(np.int64)
+    bits += d > _POW5_22
+    bits -= -d > _POW5_22 >> (fraction == 0)
+    # "0." is read as the digits "00", so lead < 10**6; and v >= 1e-4
+    return (bad == 0) & (lead >= 100) & (lead < 10**6)
 
 
 def _bad_line(path) -> str | None:

@@ -380,6 +380,14 @@ def _values(sample) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _ascending(sample) -> np.ndarray:
+    """The values of ``sample`` in ascending order: the array itself when it
+    is already non-decreasing (a caller that sorted it once), else a sorted
+    copy.  A NaN fails the check, so such a sample is sorted as before."""
+    v = _values(sample)
+    return v if np.all(v[:-1] <= v[1:]) else np.sort(v)
+
+
 # ---------------------------------------------------------------------------
 # tests
 
@@ -431,7 +439,7 @@ def ks_test_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
     D = max_i max(i/n - x_(i), x_(i) - (i-1)/n) over the sorted sample;
     the p-value uses the asymptotic series at sqrt(n) * D.
     """
-    v = np.sort(_values(sample))
+    v = _ascending(sample)
     n = v.size
     if n < 1:
         raise ValueError("empty sample")
@@ -487,16 +495,21 @@ def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult
     so that exact endpoint observations produce a huge statistic instead
     of an infinity.  The p-value is the asymptotic fully-specified-null one.
     """
-    v = np.sort(_values(sample))
+    v = _ascending(sample)
     n = v.size
     if n < 1:
         raise ValueError("empty sample")
     clamped = int(np.sum((v < _AD_CLAMP) | (v > 1.0 - _AD_CLAMP)))
-    v = np.clip(v, _AD_CLAMP, 1.0 - _AD_CLAMP)
     terms = np.empty(n + 1)
     terms[0] = float(n) * n
-    body = np.log(v, out=terms[1:])
-    body += np.log1p(-v[::-1])
+    # clamped into the terms themselves and summed with one temporary: v may
+    # be the caller's sorted sample, which stays alive beside them
+    body = np.clip(v, _AD_CLAMP, 1.0 - _AD_CLAMP, out=terms[1:])
+    upper = np.negative(body[::-1])
+    np.log1p(upper, out=upper)
+    np.log(body, out=body)
+    body += upper
+    del upper
     body *= np.arange(1.0, 2.0 * n, 2.0)  # 2i - 1
     a2 = -_exact_sum(terms) / n
     p = anderson_darling_sf(a2)

@@ -28,6 +28,14 @@ from rngaudit.battery import (
     serial_test,
 )
 from rngaudit.generators import Sample, make_generator
+from rngaudit.stats import (
+    anderson_darling_uniform,
+    chi_square_gof,
+    ks_test_uniform,
+    levene_test,
+    t_test_mean,
+    variance_test,
+)
 
 from oracles import all_rank_vectors, perm_rank
 
@@ -73,6 +81,7 @@ class TestBatteryConfig:
             {"serial_l": 0},
             {"birthday_n": 1},
             {"birthday_k": 1},
+            {"birthday_k": 2**62 + 1},
             {"levene_groups": 1},
             {"gof_bins": 1},
             {"tests": ()},
@@ -337,6 +346,21 @@ class TestBirthdaySpacings:
 # global uniformity composite
 
 
+def assert_same_records(v, alpha=0.01, groups=10, bins=100):
+    """global_uniformity, which sorts v once for ks and anderson-darling,
+    gives each test's own record on the unsorted v, bit for bit."""
+    counts = np.bincount(np.minimum((v * bins).astype(np.int64), bins - 1), minlength=bins)
+    want = [t_test_mean(v, 0.5, alpha), variance_test(v, 1.0 / 12.0, alpha),
+            levene_test(v, groups, alpha), ks_test_uniform(v, alpha),
+            chi_square_gof(counts, np.full(bins, v.size / bins), alpha, name="chi2-uniform"),
+            anderson_darling_uniform(v, alpha)]
+    want[0].detail["empirical_mean"] = float(v.mean())
+    want[1].detail["empirical_variance"] = float(v.var(ddof=1))
+    got = global_uniformity(v, alpha, groups, bins)
+    # repr tells -0.0 from 0.0 and prints every bit of a float
+    assert [repr(r.to_dict()) for r in got] == [repr(r.to_dict()) for r in want]
+
+
 class TestGlobalUniformity:
     def test_component_order_and_names(self, mt_sample):
         results = global_uniformity(mt_sample)
@@ -368,6 +392,16 @@ class TestGlobalUniformity:
     def test_rejects_short_samples(self):
         with pytest.raises(ValueError, match="100"):
             global_uniformity(np.linspace(0, 0.99, 99))
+
+    @pytest.mark.parametrize("descriptor", ["mt:seed=11", "lcg:m=2147483647,a=16807,c=0,seed=11",
+                                            "wh:seed1=11,seed2=12,seed3=13"])
+    def test_records_equal_each_test_on_the_unsorted_sample(self, descriptor):
+        assert_same_records(make_generator(descriptor).generate(100_000))
+
+    def test_records_with_ties_and_zeros(self):
+        v = np.floor(make_generator("mt:seed=12").generate(100_000) * 1000) / 1000
+        v[::97] = 0.0
+        assert_same_records(v)
 
     def test_more_bins_than_values_fails_before_allocating(self, mt_small):
         v = np.asarray(mt_small.values)[:20_000]

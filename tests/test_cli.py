@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -275,6 +276,14 @@ class TestBatteryCommand:
     def test_invalid_battery_flag_is_usage_error(self, capsys):
         assert main(["test", "mt:", "-n", "20000", "--serial-d", "1",
                      "--quiet"]) == EXIT_USAGE
+
+    def test_birthday_cells_beyond_the_int64_cast_are_a_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's cast warning among them
+            code = main(["test", "mt:seed=1", "-n", "20000", "--tests", "birthday",
+                         "--birthday-k", "100000000000000000000"])
+        assert code == EXIT_USAGE
+        assert "birthday_k must lie in [2, 2**62]" in capsys.readouterr().err
 
     def test_empty_family_list_is_usage_error(self, capsys):
         assert main(["test", "mt:seed=1", "-n", "1000", "--tests", ",",

@@ -1,18 +1,20 @@
 """Tests for the temp-and-rename writer behind every file the tools write,
-and for the vectorised ``repr`` that writes sample files and cloud CSVs."""
+for the vectorised ``repr`` that writes sample files and cloud CSVs, and
+for the exact reader of sample files."""
 
 from __future__ import annotations
 
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rngaudit.generators import make_generator
-from rngaudit.io import (TEXT_BLOCK, atomic_files, atomic_write_text, join_rows,
-                         repr_rows, repr_text, sample_lines)
+from rngaudit.generators import Sample, make_generator
+from rngaudit.io import (READ_WIDTH, TEXT_BLOCK, atomic_files, atomic_write_text, join_rows,
+                         load_sample, repr_rows, repr_text, sample_lines, save_sample)
 
 
 def _temp_files(directory):
@@ -174,3 +176,122 @@ class TestReprText:
         assert pieces[0] == "# rngaudit-sample v1 mt:seed=2\n"
         assert [p.count("\n") for p in pieces[1:]] == [TEXT_BLOCK, TEXT_BLOCK, 5]
         assert "".join(pieces[1:]) == per_value_repr(sample.values)
+
+
+# ---------------------------------------------------------------------------
+# load_sample against float(), one value at a time
+
+
+def assert_round_trip(values, path):
+    """load_sample(save_sample(values)) gives back every bit of values."""
+    values = np.asarray(values, np.float64)
+    save_sample(Sample(values), path)
+    back = load_sample(path).values
+    assert back.shape == values.shape
+    bad = np.flatnonzero(back.view(np.uint64) != values.view(np.uint64))
+    if bad.size:
+        pytest.fail(f"{values[bad[0]]!r} reads back as {back[bad[0]]!r}")
+
+
+def assert_reads_as_float(texts, path):
+    """A file of these value texts reads as float() of each."""
+    path.write_text("".join(f"{t}\n" for t in texts))
+    want = np.array([float(t) for t in texts])
+    got = load_sample(path).values
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    if bad.size:
+        pytest.fail(f"{texts[bad[0]]!r} reads as {got[bad[0]]!r}, float() gives {want[bad[0]]!r}")
+
+
+def random_decimals(size, seed, digits=(1, 20)):
+    """Texts "0." and 1-20 random digits (not shortest reprs) below 1 as a double."""
+    rng = np.random.default_rng(seed)
+    texts = ["0." + "".join(map(str, rng.integers(0, 10, n)))
+             for n in rng.integers(digits[0], digits[1] + 1, size)]
+    return [t for t in texts if float(t) < 1.0]
+
+
+class TestLoadSample:
+    def test_dyadic_grid(self, tmp_path):
+        assert_round_trip(np.arange(1 << 20) / 2.0**20, tmp_path / "s.txt")
+
+    @pytest.mark.parametrize("descriptor", ["mt:seed=5489", "lcg:m=2147483647,a=16807,c=0,seed=1",
+                                            "wh:seed1=1,seed2=2,seed3=3"])
+    def test_values_of_each_generator_family(self, descriptor, tmp_path):
+        assert_round_trip(make_generator(descriptor).generate(1 << 20), tmp_path / "s.txt")
+
+    def test_random_bit_patterns(self, tmp_path):
+        below_one = np.float64(1.0).view(np.uint64) - 1
+        inside = bit_patterns(np.float64(1e-4).view(np.uint64), below_one, 1 << 20, seed=3)
+        assert_round_trip(inside, tmp_path / "in.txt")
+        # mostly far below 1e-4: numpy's own parser, in the same file
+        assert_round_trip(bit_patterns(0, below_one, 1 << 18, seed=4), tmp_path / "all.txt")
+
+    def test_neighbours_of_the_decimal_edges_and_powers_of_two(self, tmp_path):
+        # 2000 doubles on either side of each, those below 1
+        edges = np.array([1e-4, 1e-3, 0.01, 0.1, 1.0, *2.0 ** -np.arange(1, 14)])
+        bits = edges.view(np.uint64)[:, None] + np.arange(-2000, 2001).astype(np.uint64)
+        values = bits.view(np.float64).reshape(-1)
+        assert_round_trip(values[values < 1.0], tmp_path / "s.txt")
+
+    def test_non_shortest_decimals(self, tmp_path):
+        assert_reads_as_float(random_decimals(1 << 16, seed=5), tmp_path / "s.txt")
+        # 17-20 digits, where most texts lie between two doubles
+        assert_reads_as_float(random_decimals(1 << 16, seed=6, digits=(17, 20)), tmp_path / "t.txt")
+
+    def test_decimals_next_to_midpoints(self, tmp_path):
+        # the 20-place decimals just below, at and above the midpoint between
+        # a double and the next, rounded: each is read on its side of it
+        rng = np.random.default_rng(7)
+        bits = rng.integers(np.float64(1e-4).view(np.uint64), np.float64(1.0).view(np.uint64) - 1,
+                            4000, dtype=np.uint64)
+        bits = np.concatenate([bits, (2.0 ** -np.arange(1, 14)).view(np.uint64)])
+        texts = []
+        for lo, hi in zip(bits.view(np.float64).tolist(), (bits + 1).view(np.float64).tolist()):
+            mid = (Decimal(lo) + Decimal(hi)) / 2
+            below = (Decimal(lo) + Decimal(np.nextafter(lo, 0))) / 2
+            for point in (mid, below):
+                q = point.quantize(Decimal("1e-20"))
+                texts += [f"{q + k * Decimal('1e-20'):.20f}" for k in (-1, 0, 1)]
+        assert_reads_as_float(texts, tmp_path / "s.txt")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("0123456789", min_size=1, max_size=21).filter(lambda d: float("0." + d) < 1))
+    def test_any_digit_string(self, tmp_path_factory, digits):
+        path = tmp_path_factory.mktemp("digits") / "s.txt"
+        assert_reads_as_float(["0." + digits, "0.5"], path)
+
+    def test_other_texts_go_to_numpys_parser(self, tmp_path):
+        assert_reads_as_float(["0.5", "5.3e-05", "0.0", "0.", "0.00001", "1e-4", ".25", "0.25e0",
+                               "+0.5", "0.99999999999999994", "00.5", "0.123456789012345678901",
+                               "2.5e-1", "0.1234567e-1", "0.12345678901234e-3", "0.12345e+0"],
+                              tmp_path / "s.txt")
+
+    def test_a_text_longer_than_a_row(self, tmp_path):
+        # numpy cuts it to READ_WIDTH bytes, so the whole file is read as floats
+        long = "0.12345678901234567890123456789"
+        assert len(long) > READ_WIDTH
+        assert_reads_as_float(["0.5", long, "0.25"], tmp_path / "s.txt")
+        assert_reads_as_float(["0.5", long[:READ_WIDTH]], tmp_path / "t.txt")
+
+    def test_lines_end_in_cr_lf_or_crlf(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"# rngaudit-sample v1 mt:seed=1\r0.5\r\n0.25\n# rngaudit-sample v1 \r0.75")
+        sample = load_sample(path)
+        assert sample.values.tolist() == [0.5, 0.25, 0.75]
+        assert sample.provenance == "mt:seed=1"
+
+    @pytest.mark.parametrize("line", ["0.5\u00e9", "0.5\u20ac", "0.5\x00", "0.5\x001", "\x00",
+                                      "0.1234567890:", "0.12345678901234/5", "0.25\x01"])
+    def test_non_ascii_nul_or_non_digit_line_is_named(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# rngaudit-sample v1 mt:seed=1\n0.25\n{line}\n0.5\n")
+        with pytest.raises(ValueError) as exc:
+            load_sample(path)
+        assert str(exc.value) == f"{path}:3: not a number: {line!r}"
+
+    def test_inline_comment_after_a_cr_line_end(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0.25\r0.5 # note\r")
+        with pytest.raises(ValueError, match=r":2: not a number: '0\.5 # note'"):
+            load_sample(path)

@@ -291,6 +291,17 @@ class TestAndersonDarling:
         assert anderson_darling_uniform(vals).verdict == "reject"
 
 
+class TestSortedInput:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True).map(abs)
+                    | st.sampled_from([0.0, 0.25, 0.5]), min_size=1, max_size=60))
+    def test_a_sorted_copy_gives_the_same_results(self, values):
+        # both tests skip their sort on non-decreasing input
+        v = np.array(values)
+        for test in (ks_test_uniform, anderson_darling_uniform):
+            assert repr(test(np.sort(v)).to_dict()) == repr(test(v).to_dict())
+
+
 class TestMoments:
     def test_t_test_against_scipy(self):
         s = mt_sample(3000)
