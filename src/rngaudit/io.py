@@ -58,14 +58,8 @@ _TAIL = np.frombuffer(b"".join(b"\xff" * (16 - j) + b"\0" * j for j in range(17)
 # load_sample: numpy cuts each value's text into a row of READ_WIDTH bytes,
 # the text part of a repr_rows row; they are read TEXT_BLOCK rows at a time.
 READ_WIDTH = TERMINATOR
-# load_sample scans the file for comments in pieces of this many bytes
+# load_sample scans the file for comments in pieces of this many characters
 SCAN_BLOCK = 1 << 16
-# for each text length n, what _read_rows XORs into the three words of a
-# row: "0" into each NUL byte past the text, and "." ^ "0" into byte 1
-_DIGIT_FILL = np.frombuffer(bytes((0x30 if i >= n else 0) ^ (0x1E if i == 1 else 0)
-                                  for word in range(3) for n in range(READ_WIDTH + 1)
-                                  for i in range(8 * word, 8 * word + 8)),
-                            np.uint64).reshape(3, READ_WIDTH + 1)
 _POW5_22 = 5**22
 # Name prefix of the temporary files, in the directory of their target.
 _TMP_PREFIX = ".rngaudit-tmp-"
@@ -246,36 +240,32 @@ def load_sample(path) -> Sample:
 
 def _scan(path) -> tuple[str, bool, bool]:
     """The provenance of a file's last named header, whether a '#' follows
-    other text on its line, and whether the file holds a NUL byte.
+    other text on its line, and whether the file holds a NUL character.
 
-    Lines end at CR, LF or CRLF.  The file is read SCAN_BLOCK bytes at a
-    time (more while a line goes on) and cut after a line end: a buffer of
-    the whole file, once freed, would make the allocator keep later large
-    arrays on its heap.
+    The file is read as text, SCAN_BLOCK characters at a time (more while
+    a line goes on), and cut after its last newline: a string of the whole
+    file, once freed, would make the allocator keep later large arrays on
+    its heap.
     """
     provenance, inline, nul = "external file", False, False
-    with open(path, "rb") as fh:
-        rest = b""
+    with open(path) as fh:
+        rest = ""
         while True:
             piece = fh.read(max(SCAN_BLOCK, len(rest)))
-            data = rest + piece
-            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1 if piece else len(data)
-            data, rest = data[:cut], data[cut:]
-            nul |= b"\0" in data
-            at = data.find(b"#")
+            text = rest + piece
+            cut = text.rfind("\n") + 1 if piece else len(text)
+            text, rest = text[:cut], text[cut:]
+            nul |= "\0" in text
+            at = text.find("#")
             while at >= 0:
-                newline = data.rfind(b"\n", 0, at)
-                head = data[max(newline, data.rfind(b"\r", newline + 1, at)) + 1:at]
-                inline |= bool(head) and not head.decode().isspace()
-                end = data.find(b"\n", at)
-                end = len(data) if end < 0 else end
-                cr = data.find(b"\r", at, end)
-                end = end if cr < 0 else cr
-                comment = data[at:end].decode()
+                head = text[text.rfind("\n", 0, at) + 1:at]
+                inline |= bool(head) and not head.isspace()
+                end = text.find("\n", at)
+                comment = text[at:len(text) if end < 0 else end]
                 tail = comment[len(SAMPLE_HEADER_PREFIX):].strip()
                 if comment.startswith(SAMPLE_HEADER_PREFIX) and tail:
                     provenance = tail
-                at = data.find(b"#", end)
+                at = -1 if end < 0 else text.find("#", end)
             if not piece:
                 return provenance, inline, nul
 
@@ -338,11 +328,15 @@ def _read_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     cannot occur: v has at most 21 decimal places, and a midpoint below 1
     at least 54 binary places.
     """
-    words = rows.view(np.uint64)
-    # (3, n): word j of every row, the NUL bytes past each text made "0"
-    digits = np.take(_DIGIT_FILL, np.strings.str_len(rows.view(f"S{READ_WIDTH}")[:, 0]),
-                     axis=1)
-    digits ^= words.T
+    words = rows.view(np.uint64).T
+    # (3, n): word j of every row, with "0" for each NUL byte (the file has
+    # none, so they are the bytes past the text) and for the "."
+    nonzero = (words & 0x7F7F7F7F7F7F7F7F) + 0x7F7F7F7F7F7F7F7F
+    nonzero |= words
+    digits = (~nonzero & 0x8080808080808080) >> 7
+    digits *= 0x30
+    digits |= words
+    digits[0] ^= 0x1E00
     digits -= 0x3030303030303030
     # a byte above 9, or a borrow from one below "0", sets a high bit
     bad = digits + 0x7676767676767676

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rngaudit.generators import Sample, make_generator
-from rngaudit.io import (READ_WIDTH, TEXT_BLOCK, atomic_files, atomic_write_text, join_rows,
-                         load_sample, repr_rows, repr_text, sample_lines, save_sample)
+from rngaudit.io import (READ_WIDTH, TEXT_BLOCK, _read_rows, atomic_files, atomic_write_text,
+                         join_rows, load_sample, repr_rows, repr_text, sample_lines, save_sample)
 
 
 def _temp_files(directory):
@@ -261,6 +261,14 @@ class TestLoadSample:
         path = tmp_path_factory.mktemp("digits") / "s.txt"
         assert_reads_as_float(["0." + digits, "0.5"], path)
 
+    def test_the_kernel_reads_every_repr_from_1e_4_to_1(self):
+        x = np.concatenate([[1e-4, np.nextafter(1.0, 0), 0.5, 0.1],
+                            np.random.default_rng(21).uniform(1e-4, 1, TEXT_BLOCK)])
+        rows = np.array([repr(v).encode() for v in x.tolist()], f"S{READ_WIDTH}")
+        out = np.empty(x.size)
+        assert _read_rows(rows.view(np.uint8).reshape(-1, READ_WIDTH), out).all()
+        assert out.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+
     def test_other_texts_go_to_numpys_parser(self, tmp_path):
         assert_reads_as_float(["0.5", "5.3e-05", "0.0", "0.", "0.00001", "1e-4", ".25", "0.25e0",
                                "+0.5", "0.99999999999999994", "00.5", "0.123456789012345678901",
@@ -295,3 +303,19 @@ class TestLoadSample:
         path.write_bytes(b"0.25\r0.5 # note\r")
         with pytest.raises(ValueError, match=r":2: not a number: '0\.5 # note'"):
             load_sample(path)
+
+    @pytest.mark.parametrize("data", [b"# note \xff\n0.5\n", b"0.25\n0.5\xff\n",
+                                      b"0.25\n\xff0.5\n", b"0.25\n0.5\n\xa0\n"])
+    def test_a_byte_that_is_not_utf8_is_a_decode_error(self, tmp_path, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError):
+            load_sample(path)
+
+    def test_reads_without_the_numpy_2_strings_namespace(self, tmp_path, monkeypatch):
+        # the declared floor is numpy 1.24, which has no numpy.strings
+        x = np.random.default_rng(20).random(3 * TEXT_BLOCK)
+        path = tmp_path / "s.txt"
+        save_sample(Sample(x, provenance="t"), path)
+        monkeypatch.setattr(np, "strings", None, raising=False)
+        assert load_sample(path).values.view(np.uint64).tolist() == x.view(np.uint64).tolist()
