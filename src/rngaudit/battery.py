@@ -21,6 +21,7 @@ import numpy as np
 from .stats import (
     CHI2_MIN_EXPECTED,
     DEFAULT_ALPHA,
+    STAT_BLOCK,
     TestResult,
     anderson_darling_uniform,
     chi_square_gof,
@@ -111,6 +112,14 @@ def _tuples(values: np.ndarray, k: int) -> np.ndarray:
     return values[: t * k].reshape(t, k)
 
 
+def _row_blocks(rows: np.ndarray, cells: int = 1):
+    """Successive slices of ``rows`` along its first axis: about STAT_BLOCK
+    values each, but at least ``cells`` rows, so that counting a block into
+    ``cells`` cells costs no more than reading its rows."""
+    step = max(cells, STAT_BLOCK // math.prod(rows.shape[1:]))
+    return (rows[start:start + step] for start in range(0, rows.shape[0], step))
+
+
 # ---------------------------------------------------------------------------
 # permutation orderings
 
@@ -141,16 +150,19 @@ def permutation_test(
         )
     # Lehmer digits straight from the values; exact ties fall on the
     # strict-less side, matching the earlier-index-ranks-lower rule.
-    index = np.zeros(t, dtype=np.int64)
-    tie_rows = np.zeros(t, dtype=bool)
-    for i in range(k - 1):
-        digit = np.zeros(t, dtype=np.int64)
-        for j in range(i + 1, k):
-            digit += tup[:, j] < tup[:, i]
-            tie_rows |= tup[:, j] == tup[:, i]
-        index += digit * math.factorial(k - 1 - i)
-    ties = int(tie_rows.sum())
-    counts = np.bincount(index, minlength=kfact)
+    counts = np.zeros(kfact, dtype=np.int64)
+    ties = 0
+    for rows in _row_blocks(tup, kfact):
+        index = np.zeros(rows.shape[0], dtype=np.int64)
+        tie_rows = np.zeros(rows.shape[0], dtype=bool)
+        for i in range(k - 1):
+            digit = np.zeros(rows.shape[0], dtype=np.int64)
+            for j in range(i + 1, k):
+                digit += rows[:, j] < rows[:, i]
+                tie_rows |= rows[:, j] == rows[:, i]
+            index += digit * math.factorial(k - 1 - i)
+        ties += int(np.count_nonzero(tie_rows))
+        counts += np.bincount(index, minlength=kfact)
     result = chi_square_gof(counts, np.full(kfact, expected), alpha, name="permutation")
     result.detail.update(
         {"k": k, "mode": "disjoint", "n_tuples": int(t), "tied_tuples": ties}
@@ -195,11 +207,13 @@ def serial_test(
             f" < {CHI2_MIN_EXPECTED:g}; "
             f"the largest admissible base at this length is d={d_max}"
         )
-    digits = np.minimum((tup * d).astype(np.int64), d - 1)
-    cells = np.zeros(t, dtype=np.int64)
-    for pos in range(l):
-        cells = cells * d + digits[:, pos]
-    counts = np.bincount(cells, minlength=k)
+    counts = np.zeros(k, dtype=np.int64)
+    for rows in _row_blocks(tup, k):
+        digits = np.minimum((rows * d).astype(np.int64), d - 1)
+        cells = digits[:, 0]
+        for pos in range(1, l):
+            cells = cells * d + digits[:, pos]
+        counts += np.bincount(cells, minlength=k)
     result = chi_square_gof(counts, np.full(k, lam), alpha, name="serial")
     result.detail.update(
         {"d": d, "l": l, "cells": int(k), "mode": "disjoint", "n_tuples": int(t)}
@@ -232,6 +246,22 @@ def _merge_bins(counts: np.ndarray, expected: np.ndarray):
     return np.array(pooled_c, dtype=np.int64), np.array(pooled_e, dtype=np.float64)
 
 
+def _duplicate_spacings(blocks: np.ndarray, k: int):
+    """Per row of ``blocks`` (n values each, drawn into k cells): the count
+    of duplicated spacings Y and the count of cell collisions."""
+    n = blocks.shape[1]
+    y, collisions = [], []
+    for rows in _row_blocks(blocks):
+        cells = np.minimum((rows * k).astype(np.int64), k - 1)
+        cells.sort(axis=1)
+        spacings = np.diff(cells, axis=1)
+        collisions.append((n - 1) - np.count_nonzero(spacings, axis=1))
+        spacings.sort(axis=1)
+        # Y = (n - 1) - #distinct spacings
+        y.append((n - 2) - np.count_nonzero(np.diff(spacings, axis=1), axis=1))
+    return np.concatenate(y), np.concatenate(collisions)
+
+
 def birthday_spacings_test(
     sample,
     n: int = 512,
@@ -254,15 +284,7 @@ def birthday_spacings_test(
             f"only {blocks} disjoint blocks of {n}; need at least 20"
         )
     lam = n**3 / (4.0 * k)
-    block_vals = v[: blocks * n].reshape(blocks, n)
-    cells = np.minimum((block_vals * k).astype(np.int64), k - 1)
-    cells.sort(axis=1)
-    cell_collisions = (n - 1) - np.count_nonzero(np.diff(cells, axis=1), axis=1)
-    spacings = np.diff(cells, axis=1)
-    spacings.sort(axis=1)
-    distinct = 1 + np.count_nonzero(np.diff(spacings, axis=1), axis=1)
-    y = (n - 1) - distinct
-
+    y, cell_collisions = _duplicate_spacings(v[: blocks * n].reshape(blocks, n), k)
     y_max = int(y.max())
     counts = np.bincount(y, minlength=y_max + 1)
     pmf = np.array([poisson_pmf(j, lam) for j in range(y_max + 1)])
@@ -327,8 +349,10 @@ def global_uniformity(
     # chi_square_gof's own check, made before the gof_bins-long arrays exist
     if n < gof_bins:
         raise ValueError("expected counts below 1 break the chi-square approximation")
-    bins = np.bincount(np.minimum((v * gof_bins).astype(np.int64), gof_bins - 1),
-                       minlength=gof_bins)
+    bins = np.zeros(gof_bins, dtype=np.int64)
+    for block in _row_blocks(v, gof_bins):
+        bins += np.bincount(np.minimum((block * gof_bins).astype(np.int64), gof_bins - 1),
+                            minlength=gof_bins)
     results.append(chi_square_gof(bins, np.full(gof_bins, n / gof_bins), alpha,
                                   name="chi2-uniform"))
     results.append(anderson_darling_uniform(ordered, alpha))

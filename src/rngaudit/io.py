@@ -224,7 +224,8 @@ def load_sample(path) -> Sample:
 
     Blank lines and lines that start with '#' are skipped anywhere; the
     last provenance header names the sample.  A line that is not one
-    number raises ``path:line: not a number: '...'``.  numpy cuts the
+    number raises ``path:line: not a number: '...'``, and one whose value
+    is not in [0, 1) ``path:line: outside [0, 1): '...'``.  numpy cuts the
     values into fixed-width rows and ``_read_rows`` reads them exactly;
     what it does not take goes through numpy's float parser.
     """
@@ -232,10 +233,9 @@ def load_sample(path) -> Sample:
     try:
         if inline_comment:
             raise ValueError("a '#' inside a value line")
-        values = _load_values(path, nul)
+        return Sample(_load_values(path, nul), provenance=provenance)
     except ValueError as exc:
         raise ValueError(_bad_line(path) or f"{path}: {exc}") from None
-    return Sample(values, provenance=provenance)
 
 
 def _scan(path) -> tuple[str, bool, bool]:
@@ -360,13 +360,15 @@ def _read_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _bad_line(path) -> str | None:
     """The error for the first line of the file that is neither blank, a
-    comment nor a number, if there is one."""
+    comment nor a number in [0, 1), if there is one."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line and not line.startswith("#"):
                 try:
-                    float(line)
+                    value = float(line)
                 except ValueError:
                     return f"{path}:{lineno}: not a number: {line!r}"
+                if not 0.0 <= value < 1.0:
+                    return f"{path}:{lineno}: outside [0, 1): {line!r}"
     return None

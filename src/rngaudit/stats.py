@@ -31,6 +31,10 @@ _EPS = 1e-15
 _FPMIN = 1e-300
 # anderson_darling_uniform clamps values into [_AD_CLAMP, 1 - _AD_CLAMP]
 _AD_CLAMP = 1e-12
+# The battery's kernels walk a sample this many values at a time, so that a
+# block and its temporaries (256 KiB each) stay in the L2 cache, and no
+# temporary grows with the sample.
+STAT_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +447,15 @@ def ks_test_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
     n = v.size
     if n < 1:
         raise ValueError("empty sample")
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = float(np.max(i / n - v))
-    d_minus = float(np.max(v - (i - 1.0) / n))
+    plus, minus = [], []
+    for start in range(0, n, STAT_BLOCK):
+        block = v[start:start + STAT_BLOCK]
+        # k / n for k = start .. start + block.size: each value's (i - 1)/n and i/n
+        grid = np.arange(start, start + block.size + 1, dtype=np.float64) / n
+        plus.append(np.max(grid[1:] - block))
+        minus.append(np.max(block - grid[:-1]))
+    d_plus = float(np.max(plus))
+    d_minus = float(np.max(minus))
     d = max(d_plus, d_minus)
     p = kolmogorov_sf(math.sqrt(n) * d)
     return TestResult(
@@ -454,16 +464,17 @@ def ks_test_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
     )
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """Sum of a float array as if accumulated in twice the working precision.
+def _sum_parts(x: np.ndarray) -> list[float]:
+    """Floats whose sum is that of x to about twice the working precision,
+    for ``math.fsum`` to add.
 
     A TwoSum cascade (Knuth's error-free addition): each level adds the two
-    halves of the array and keeps every rounding error, and the error sums,
-    each below one ulp of its partial sums, are added at the end by fsum.
-    The error is at most about eps^2 log2(n)^2 sum|x|: within one ulp of
-    the exact sum (and in practice the correctly rounded one) while
-    sum|x| / |sum x| stays below ~1e13.  For the Anderson-Darling sum it
-    is ~4n.
+    halves of the array and keeps every rounding error.  The parts are the
+    error sums, each below one ulp of its partial sums, and the last
+    partial sum.  Their fsum is off by at most about eps^2 log2(n)^2 sum|x|:
+    within one ulp of the exact sum (and in practice the correctly rounded
+    one) while sum|x| / |sum x| stays below ~1e13.  For the
+    Anderson-Darling sum it is ~4n.
     """
     parts = []
     z_buf = np.empty(x.size // 2)
@@ -481,7 +492,7 @@ def _exact_sum(x: np.ndarray) -> float:
         parts += [float(e.sum()), float(z.sum())]
         x = s
     parts.extend(x.tolist())
-    return math.fsum(parts)
+    return parts
 
 
 def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -491,27 +502,33 @@ def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult
     Since |S| ~ n^2 while A^2 ~ 1, n^2 and the terms of S are summed
     exactly (to the last bit) before the single division, which leaves
     only the rounding of the logarithms: absolute error ~2e-14 at n = 1e5.
-    Values are clamped into [_AD_CLAMP, 1 - _AD_CLAMP] before taking logs
-    so that exact endpoint observations produce a huge statistic instead
-    of an infinity.  The p-value is the asymptotic fully-specified-null one.
+    The terms are formed STAT_BLOCK at a time, and the TwoSum parts of
+    every block go into one ``math.fsum`` with n^2: a sum rounded per
+    block would be off by ~3e-10 at n = 1e6.  Values are clamped into
+    [_AD_CLAMP, 1 - _AD_CLAMP] before taking logs so that exact endpoint
+    observations produce a huge statistic instead of an infinity.  The
+    p-value is the asymptotic fully-specified-null one.
     """
     v = _ascending(sample)
     n = v.size
     if n < 1:
         raise ValueError("empty sample")
-    clamped = int(np.sum((v < _AD_CLAMP) | (v > 1.0 - _AD_CLAMP)))
-    terms = np.empty(n + 1)
-    terms[0] = float(n) * n
-    # clamped into the terms themselves and summed with one temporary: v may
-    # be the caller's sorted sample, which stays alive beside them
-    body = np.clip(v, _AD_CLAMP, 1.0 - _AD_CLAMP, out=terms[1:])
-    upper = np.negative(body[::-1])
-    np.log1p(upper, out=upper)
-    np.log(body, out=body)
-    body += upper
-    del upper
-    body *= np.arange(1.0, 2.0 * n, 2.0)  # 2i - 1
-    a2 = -_exact_sum(terms) / n
+    parts = [float(n) * n]
+    clamped = 0
+    for start in range(0, n, STAT_BLOCK):
+        stop = min(start + STAT_BLOCK, n)
+        block = v[start:stop]
+        clamped += int(np.count_nonzero((block < _AD_CLAMP) | (block > 1.0 - _AD_CLAMP)))
+        body = np.clip(block, _AD_CLAMP, 1.0 - _AD_CLAMP)
+        # v_(n+1-i) for i = start + 1 .. stop
+        upper = np.clip(v[n - stop:n - start][::-1], _AD_CLAMP, 1.0 - _AD_CLAMP)
+        np.negative(upper, out=upper)
+        np.log1p(upper, out=upper)
+        np.log(body, out=body)
+        body += upper
+        body *= np.arange(2.0 * start + 1.0, 2.0 * stop, 2.0)  # 2i - 1
+        parts += _sum_parts(body)
+    a2 = -math.fsum(parts) / n
     p = anderson_darling_sf(a2)
     detail = {"n": int(n)}
     if clamped:
@@ -578,12 +595,15 @@ def levene_test(sample, groups: int = 10, alpha: float = DEFAULT_ALPHA) -> TestR
     if size < 2:
         raise ValueError("groups would have fewer than two observations")
     blocks = v[: groups * size].reshape(groups, size)
-    z = np.abs(blocks - blocks.mean(axis=1)[:, None])
+    z = blocks - blocks.mean(axis=1)[:, None]
+    np.abs(z, out=z)
     zbar_i = z.mean(axis=1)
     zbar = float(z.mean())
     n_total = groups * size
     between = size * float(np.sum((zbar_i - zbar) ** 2))
-    within = float(np.sum((z - zbar_i[:, None]) ** 2))
+    # the squared deviations from the group means, in z's own buffer
+    np.subtract(z, zbar_i[:, None], out=z)
+    within = float(np.sum(np.square(z, out=z)))
     if within == 0.0:
         stat = 0.0
         p = 1.0

@@ -346,3 +346,76 @@ def load_sample_lines(path, header_prefix="# rngaudit-sample v1"):
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
     return np.asarray(values, dtype=np.float64), provenance
+
+
+# ---------------------------------------------------------------------------
+# The battery's kernels as formulas over the whole sample at once.  The
+# package walks the sample in blocks of STAT_BLOCK values; these take every
+# value in one array expression, in the same floating-point operations.
+
+def ks_distances(ordered):
+    """(D+, D-) of the sorted sample: max i/n - x_(i) and max x_(i) - (i-1)/n."""
+    n = ordered.size
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return float(np.max(i / n - ordered)), float(np.max(ordered - (i - 1.0) / n))
+
+
+def anderson_darling_terms(ordered, clamp=1e-12):
+    """(2i - 1)(log u_(i) + log1p(-u_(n+1-i))) with u clipped into
+    [clamp, 1 - clamp], and the count of values the clip moved; A^2 is
+    -(n^2 + sum of the terms) / n."""
+    u = np.clip(ordered, clamp, 1.0 - clamp)
+    i = np.arange(1, u.size + 1, dtype=np.float64)
+    terms = (2.0 * i - 1.0) * (np.log(u) + np.log1p(-u[::-1]))
+    return terms, int(np.sum((ordered < clamp) | (ordered > 1.0 - clamp)))
+
+
+def levene_statistic(values, groups):
+    """Levene's F over ``groups`` contiguous equal blocks, centred on the
+    group means."""
+    size = values.size // groups
+    blocks = values[: groups * size].reshape(groups, size)
+    z = np.abs(blocks - blocks.mean(axis=1)[:, None])
+    zbar_i = z.mean(axis=1)
+    zbar = float(z.mean())
+    between = size * float(np.sum((zbar_i - zbar) ** 2))
+    within = float(np.sum((z - zbar_i[:, None]) ** 2))
+    return (groups * size - groups) / (groups - 1) * between / within
+
+
+def bin_counts(values, bins):
+    """Counts of the values in ``bins`` equal bins of [0, 1)."""
+    return np.bincount(np.minimum((values * bins).astype(np.int64), bins - 1), minlength=bins)
+
+
+def permutation_counts(values, k):
+    """Counts of the k! rank patterns (Lehmer codes, ties to the earlier
+    index) of the disjoint k-tuples, and the number of tuples with a tie."""
+    tup = values[: values.size // k * k].reshape(-1, k)
+    index = np.zeros(tup.shape[0], dtype=np.int64)
+    tied = np.zeros(tup.shape[0], dtype=bool)
+    for i in range(k - 1):
+        later = tup[:, i + 1:]
+        index += np.sum(later < tup[:, i:i + 1], axis=1) * math.factorial(k - 1 - i)
+        tied |= np.any(later == tup[:, i:i + 1], axis=1)
+    return np.bincount(index, minlength=math.factorial(k)), int(tied.sum())
+
+
+def serial_counts(values, d, l):
+    """Counts of the d**l cells of the disjoint l-tuples of d-ary digits."""
+    tup = values[: values.size // l * l].reshape(-1, l)
+    digits = np.minimum((tup * d).astype(np.int64), d - 1)
+    cells = digits @ (d ** np.arange(l - 1, -1, -1, dtype=np.int64))
+    return np.bincount(cells, minlength=d**l)
+
+
+def duplicate_spacings(values, n, k):
+    """Per disjoint block of n values drawn into k cells: the duplicated
+    spacings Y = (n - 1) - #distinct spacings, and the cell collisions."""
+    y, collisions = [], []
+    for start in range(0, values.size // n * n, n):
+        cells = sorted(min(int(x * k), k - 1) for x in values[start:start + n].tolist())
+        spacings = [b - a for a, b in zip(cells, cells[1:])]
+        y.append((n - 1) - len(set(spacings)))
+        collisions.append(spacings.count(0))
+    return np.array(y), np.array(collisions)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rngaudit import battery
+from rngaudit import battery, stats
 from rngaudit.battery import (
     BatteryConfig,
     BatteryReport,
@@ -29,6 +29,7 @@ from rngaudit.battery import (
 )
 from rngaudit.generators import Sample, make_generator
 from rngaudit.stats import (
+    STAT_BLOCK,
     anderson_darling_uniform,
     chi_square_gof,
     ks_test_uniform,
@@ -37,7 +38,17 @@ from rngaudit.stats import (
     variance_test,
 )
 
-from oracles import all_rank_vectors, perm_rank
+from oracles import (
+    all_rank_vectors,
+    anderson_darling_terms,
+    bin_counts,
+    duplicate_spacings,
+    ks_distances,
+    levene_statistic,
+    perm_rank,
+    permutation_counts,
+    serial_counts,
+)
 
 REL = 1e-12
 
@@ -419,6 +430,97 @@ class TestGlobalUniformity:
         }]
         # two 5e6-long arrays would take 80 MB
         assert peak < 5 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the kernels walk the sample STAT_BLOCK values at a time
+
+# Each size leaves another remainder after the last full block, and after
+# the last whole 3-tuple and 2-tuple.
+BOUNDARY_SIZES = [STAT_BLOCK - 1, STAT_BLOCK, STAT_BLOCK + 1, 3 * STAT_BLOCK + 7]
+# The defaults, and a recipe whose birthday rows (65 of 500 values to a
+# block) leave one row past the last full block at 3 * STAT_BLOCK + 7.
+BOUNDARY_CONFIGS = [
+    BatteryConfig(),
+    BatteryConfig(permutation_k=4, serial_d=5, serial_l=3, birthday_n=500,
+                  birthday_k=2**22, levene_groups=7, gof_bins=37),
+]
+
+
+@pytest.fixture(scope="module", params=BOUNDARY_SIZES)
+def boundary_values(request):
+    """MT values with three the Anderson-Darling clip moves, and exact ties
+    in a tuple of the first block, of the second and of the last."""
+    v = make_generator(f"mt:seed={request.param}").generate(request.param)
+    v[[3, 1000, -7]] = [0.0, 1e-13, 1.0 - 1e-13]
+    for start in (30, STAT_BLOCK - 2, v.size - 20):
+        v[start:start + 3] = v[start]
+    return v
+
+
+@pytest.mark.filterwarnings("ignore:permutation:UserWarning")
+class TestStatBlocks:
+    def test_uniformity_statistics_match_the_unblocked_formulas(self, boundary_values):
+        v = boundary_values
+        n = v.size
+        ordered = np.sort(v)
+        got = {r.name: r for r in global_uniformity(v, levene_groups=7, gof_bins=37)}
+        d_plus, d_minus = ks_distances(ordered)
+        assert got["ks"].detail == {"n": n, "d_plus": d_plus, "d_minus": d_minus}
+        terms, clamped = anderson_darling_terms(ordered)
+        assert clamped == 3
+        assert got["anderson-darling"].detail == {"n": n, "clamped_values": clamped}
+        # the correctly rounded sum of n^2 and the terms
+        assert got["anderson-darling"].statistic == -math.fsum([float(n) * n, *terms.tolist()]) / n
+        assert got["levene"].statistic == levene_statistic(v, 7)
+        want = chi_square_gof(bin_counts(v, 37), np.full(37, n / 37), name="chi2-uniform")
+        assert got["chi2-uniform"].to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_permutation_counts_match_the_unblocked_formula(self, boundary_values, k):
+        with mock.patch.object(battery, "chi_square_gof", wraps=chi_square_gof) as gof:
+            result = permutation_test(boundary_values, k)
+        counts, ties = permutation_counts(boundary_values, k)
+        assert gof.call_args.args[0].tolist() == counts.tolist()
+        assert result.detail["tied_tuples"] == ties > 0
+
+    @pytest.mark.parametrize("d, l", [(8, 2), (5, 3)])
+    def test_serial_counts_match_the_unblocked_formula(self, boundary_values, d, l):
+        with mock.patch.object(battery, "chi_square_gof", wraps=chi_square_gof) as gof:
+            serial_test(boundary_values, d, l)
+        assert gof.call_args.args[0].tolist() == serial_counts(boundary_values, d, l).tolist()
+
+    @pytest.mark.parametrize("n, k", [(512, 2**24), (500, 2**22)])
+    def test_duplicate_spacings_match_the_unblocked_formula(self, boundary_values, n, k):
+        rows = boundary_values.size // n
+        got = battery._duplicate_spacings(boundary_values[:rows * n].reshape(rows, n), k)
+        want = duplicate_spacings(boundary_values, n, k)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    def test_records_equal_those_of_one_block(self, boundary_values, monkeypatch):
+        def records():
+            return [repr(r.to_dict()) for config in BOUNDARY_CONFIGS
+                    for r in run_battery(boundary_values, config).results]
+
+        blocked = records()
+        monkeypatch.setattr(stats, "STAT_BLOCK", boundary_values.size)
+        monkeypatch.setattr(battery, "STAT_BLOCK", boundary_values.size)
+        assert blocked == records()
+
+    def test_no_temporary_grows_with_the_sample(self):
+        v = make_generator("mt:seed=2").generate(2**20)
+        peaks = {}
+        for name, run in TEST_REGISTRY.items():
+            tracemalloc.start()
+            try:
+                run(v, BatteryConfig(), 0.01)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for name in ("permutation", "serial", "birthday"):
+            assert peaks[name] < 2 * 2**20, name
+        # the sorted copy and Levene's |x - group mean| are sample-sized
+        assert peaks["uniformity"] < 2 * v.nbytes + 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,13 @@ class TestBatteryCommand:
         assert code == EXIT_USAGE
         assert f"{sample}:3:" in capsys.readouterr().err
 
+    def test_value_that_rounds_to_one_is_usage_error(self, tmp_path, capsys):
+        sample = tmp_path / "bad.txt"
+        sample.write_text("# header\n0.25\n0.99999999999999999\n")
+        code = main(["test", str(sample), "--quiet"])
+        assert code == EXIT_USAGE
+        assert f"{sample}:3: outside [0, 1): '0.99999999999999999'" in capsys.readouterr().err
+
     def test_alpha_flows_into_every_result(self, tmp_path):
         out = tmp_path / "r.json"
         main(["test", "mt:seed=1", "-n", "20000", "--alpha", "0.2",

@@ -298,6 +298,15 @@ class TestLoadSample:
             load_sample(path)
         assert str(exc.value) == f"{path}:3: not a number: {line!r}"
 
+    @pytest.mark.parametrize("line", ["0.99999999999999999", "1.0", "-0.25", "nan", "-inf"])
+    def test_a_value_outside_0_1_is_named(self, tmp_path, line):
+        # 0.99999999999999999 is a valid text that rounds up to 1.0
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# rngaudit-sample v1 mt:seed=1\n0.25\n\n{line}\n0.5\n")
+        with pytest.raises(ValueError) as exc:
+            load_sample(path)
+        assert str(exc.value) == f"{path}:4: outside [0, 1): {line!r}"
+
     def test_inline_comment_after_a_cr_line_end(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"0.25\r0.5 # note\r")
