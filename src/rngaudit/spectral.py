@@ -11,12 +11,11 @@ families covering all tuples.  The basis used here is the classical
 row set (m, 0, ..., 0), (-a, 1, 0, ...), (-a^2, 0, 1, ...), ... with
 determinant +-m.
 
-Everything is exact: the shortest vector is found by Lagrange reduction
-for d = 2 and by integral LLL reduction (integer Gram-Schmidt data,
-exact divisions only) followed by a bounded integer enumeration for
-d >= 3, and squared lengths are kept as Python integers.  The
-acceptance rule nu_d >= 2**(30/d) for d = 2..6 is evaluated in squared
-form, where both sides are exact integers.
+Everything is exact: in every dimension the shortest vector is found by
+integral LLL reduction (integer Gram-Schmidt data, exact divisions only)
+followed by a bounded integer enumeration, and squared lengths are kept
+as Python integers.  The acceptance rule nu_d >= 2**(30/d) for d = 2..6
+is evaluated in squared form, where both sides are exact integers.
 """
 
 from __future__ import annotations
@@ -75,27 +74,6 @@ def _norm_sq(v) -> int:
 
 def _dot(u, v) -> int:
     return sum(int(x) * int(y) for x, y in zip(u, v))
-
-
-def _round_ratio(p: int, q: int) -> int:
-    """Nearest integer to p/q for positive q, exact in integers."""
-    if q < 0:
-        p, q = -p, -q
-    return (2 * p + q) // (2 * q)
-
-
-def _lagrange_shortest(b1, b2) -> list[int]:
-    """Exact shortest vector of a rank-2 lattice (Lagrange/Gauss reduction)."""
-    u, v = list(b1), list(b2)
-    if _norm_sq(v) < _norm_sq(u):
-        u, v = v, u
-    while True:
-        # now |u| <= |v|; shorten v against u
-        q = _round_ratio(_dot(u, v), _norm_sq(u))
-        v = [x - q * y for x, y in zip(v, u)]
-        if _norm_sq(v) >= _norm_sq(u):
-            return u
-        u, v = v, u
 
 
 def _round_half_even(p: int, q: int) -> int:
@@ -225,13 +203,9 @@ def _enumerate_shortest(reduced, lam, d) -> list[int]:
 
 
 def shortest_vector(basis) -> list[int]:
-    """A shortest nonzero vector of the lattice spanned by ``basis``."""
-    rows = [list(map(int, row)) for row in basis]
-    if len(rows) == 2:
-        vec = _lagrange_shortest(rows[0], rows[1])
-    else:
-        vec = _enumerate_shortest(*_lll_reduce(rows))
-    return vec
+    """A shortest nonzero vector of the lattice spanned by ``basis``, found
+    by LLL reduction and enumeration in every dimension."""
+    return _enumerate_shortest(*_lll_reduce(basis))
 
 
 def spectral_accuracy_sq(params: LcgParams, d: int) -> tuple[int, list[int]]:

@@ -14,6 +14,7 @@ exactly when ``p_value < alpha``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +30,8 @@ CHI2_MIN_EXPECTED = 5.0
 _ITMAX = 500
 _EPS = 1e-15
 _FPMIN = 1e-300
+# the terms of kolmogorov_sf's alternating series
+_KS_TERMS = 100
 # anderson_darling_uniform clamps values into [_AD_CLAMP, 1 - _AD_CLAMP]
 _AD_CLAMP = 1e-12
 # The battery's kernels walk a sample this many values at a time, so that a
@@ -122,31 +125,52 @@ def _gamma_p_series(s: float, x: float) -> float:
     return total * math.exp(_log_gamma_prefactor(s, x))
 
 
+def _lentz(c: float, d: float, units) -> float:
+    """Modified Lentz evaluation of a continued fraction (Numerical Recipes
+    ``gcf`` and ``betacf``).
+
+    The value starts at h = 1/d with Lentz's ratio c.  Each of ``units``
+    is a run of (a, b) terms, each applying h *= D C with
+    D = 1/(b + a D) and C = b + a/C, both kept away from zero by _FPMIN.
+    Convergence is tested once per unit, after its last term, and at most
+    _ITMAX units are taken: a fraction that has not converged by then
+    returns its last value.
+    """
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for unit in itertools.islice(units, _ITMAX):
+        for an, bn in unit:
+            d = an * d + bn
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = bn + an / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    return h
+
+
 def _gamma_q_contfrac(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) by continued fraction.
 
-    Modified Lentz evaluation of the classical continued fraction, stable
-    for x >= s + 1.
+    The classical continued fraction, stable for x >= s + 1, one term per
+    Lentz unit.  Its b terms are x + 1 - s + 2i, formed by repeated
+    addition.
     """
+
+    def units(b):
+        for i in itertools.count(1):
+            b += 2.0
+            yield ((-i * (i - s), b),)
+
     b = x + 1.0 - s
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(_log_gamma_prefactor(s, x)) * h
+    return math.exp(_log_gamma_prefactor(s, x)) * _lentz(1.0 / _FPMIN, b, units(b))
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -156,10 +180,14 @@ def chi_square_sf(x: float, df: int) -> float:
     Temme's form, so it stays accurate to ~1e-15 relative at any df.  The
     tests hold the result to 1e-12 relative against scipy for df <= 719
     and against mpmath at df = 99999 with x/2 above s + 1 (the continued
-    fraction).  Below s + 1 the power series is cut at _ITMAX terms, which
-    converges only while df is below a few thousand when x is within a
-    few sqrt(df) of df: at df = 1e5, x = df the result is 2.5% off.
-    Extreme statistics underflow cleanly to 0.0.
+    fraction).  Both expansions stop after _ITMAX steps and return what
+    they have, unconverged.  Below s + 1 the power series converges
+    only while df is below a few thousand when x is within a few sqrt(df)
+    of df: at df = 1e5, x = df the result is 2.5% off.  Above it the
+    continued fraction is not accurate at large df either: at x = df + 2
+    it needs 712 units at df = 1e6 and is 1.2e-9 relative off scipy, and
+    1538 units at df = 1e7, 2.4e-3 off.  Extreme statistics underflow
+    cleanly to 0.0.
     """
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
@@ -175,40 +203,21 @@ def chi_square_sf(x: float, df: int) -> float:
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function."""
+    """Continued fraction for the incomplete beta function, its even and
+    odd terms of each order m as one Lentz unit."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _ITMAX + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
+
+    def units():
+        for m in itertools.count(1):
+            m2 = 2 * m
+            yield (
+                (m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0),
+                (-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0),
+            )
+
+    return _lentz(1.0, 1.0 - qab * x / qap, units())
 
 
 def betainc_reg(a: float, b: float, x: float, y: float | None = None) -> float:
@@ -268,16 +277,16 @@ def f_sf(f_stat: float, df1: int, df2: int) -> float:
     return betainc_reg(0.5 * df2, 0.5 * df1, df2 / (df2 + u), u / (df2 + u))
 
 
-def kolmogorov_sf(lam: float, terms: int = 100) -> float:
+def kolmogorov_sf(lam: float) -> float:
     """Asymptotic Kolmogorov survival function Q(lambda).
 
-    Alternating series with the first ``terms`` terms; adequate above a few
+    Alternating series with the first _KS_TERMS terms; adequate above a few
     dozen observations and documented as approximate for n < 35.
     """
     if lam <= 0:
         return 1.0
     total = 0.0
-    for j in range(1, terms + 1):
+    for j in range(1, _KS_TERMS + 1):
         e = math.exp(-2.0 * j * j * lam * lam)
         total += e if j % 2 else -e
         if e < 1e-300:

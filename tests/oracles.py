@@ -88,6 +88,28 @@ def lattice_min_norm_sq(m: int, a: int, d: int) -> int:
     return best
 
 
+def lagrange_shortest(b1, b2):
+    """Exact shortest vector of a rank-2 integer lattice by Lagrange (Gauss)
+    reduction: shorten the longer vector against the shorter by the nearest
+    integer multiple until it is no longer shorter."""
+
+    def norm_sq(v):
+        return sum(x * x for x in v)
+
+    def round_ratio(p, q):  # nearest integer to p/q, q > 0
+        return (2 * p + q) // (2 * q)
+
+    u, v = [int(x) for x in b1], [int(x) for x in b2]
+    if norm_sq(v) < norm_sq(u):
+        u, v = v, u
+    while True:
+        q = round_ratio(sum(x * y for x, y in zip(u, v)), norm_sq(u))
+        v = [x - q * y for x, y in zip(v, u)]
+        if norm_sq(v) >= norm_sq(u):
+            return u
+        u, v = v, u
+
+
 def perm_rank(values):
     """Rank vector (1 = smallest), earlier index wins ties."""
     order = sorted(range(len(values)), key=lambda i: (values[i], i))
@@ -419,3 +441,73 @@ def duplicate_spacings(values, n, k):
         y.append((n - 1) - len(set(spacings)))
         collisions.append(spacings.count(0))
     return np.array(y), np.array(collisions)
+
+
+# ---------------------------------------------------------------------------
+# The textbook continued fractions (Numerical Recipes gcf and betacf), each
+# its own modified Lentz loop with the package's constants.
+
+ITMAX = 500
+EPS = 1e-15
+FPMIN = 1e-300
+
+
+def nr_gcf(s, x):
+    """The continued fraction of Q(s, x) without its prefactor
+    x^s e^-x / Gamma(s), for x >= s + 1."""
+    b = x + 1.0 - s
+    c = 1.0 / FPMIN
+    d = 1.0 / b
+    h = d
+    for i in range(1, ITMAX + 1):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < FPMIN:
+            d = FPMIN
+        c = b + an / c
+        if abs(c) < FPMIN:
+            c = FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < EPS:
+            break
+    return h
+
+
+def nr_betacf(a, b, x):
+    """The continued fraction of the incomplete beta function I_x(a, b)."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < FPMIN:
+        d = FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, ITMAX + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < FPMIN:
+            d = FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < FPMIN:
+            c = FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < FPMIN:
+            d = FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < FPMIN:
+            c = FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < EPS:
+            break
+    return h

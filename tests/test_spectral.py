@@ -33,7 +33,7 @@ from rngaudit.spectral import (
 )
 from rngaudit.stats import summary_verdict
 
-from oracles import fraction_lll_reduce, lattice_min_norm_sq
+from oracles import fraction_lll_reduce, lagrange_shortest, lattice_min_norm_sq
 
 REL = 1e-12
 
@@ -114,10 +114,39 @@ class TestShortestVector:
     @pytest.mark.parametrize("rows", [
         [[1, 2, 3], [2, 4, 6], [0, 0, 1]],   # second row dependent
         [[1, 0, 0], [0, 1, 0], [1, 1, 0]],   # last row dependent
+        [[1, 2], [2, 4]],
+        [[0, 0], [1, 1]],
+        [[3, 0], [0, 0]],
     ])
     def test_singular_basis_raises(self, rows):
         with pytest.raises(ValueError, match="singular"):
             shortest_vector(rows)
+
+
+# every golden and benchmark multiplier: d = 2 gives Lagrange's vector itself
+NAMED_MULTIPLIERS = [
+    (10, 7), (1024, 389), (40000, 4001), (262144, 4649), (4096, 1229),
+    (16384, 4649), (1048576, 4649), (1048576, 4651), (2**31 - 1, 16807),
+    (2**31 - 1, 742938285), (2**32, 69069), (4951760154835678088235319297, 3),
+]
+
+
+class TestTwoDimensionsAgainstLagrange:
+    """d = 2 runs LLL plus enumeration; Lagrange reduction checks it at
+    moduli far beyond the exhaustive oracle."""
+
+    def test_same_length_up_to_2_62(self):
+        rng = random.Random(2303)
+        for _ in range(300):
+            m = rng.randrange(2, 2 ** rng.randint(2, 62) + 1)
+            basis = dual_lattice_basis(LcgParams(m, rng.randrange(1, m), 0, 1), 2)
+            got, want = shortest_vector(basis), lagrange_shortest(*basis)
+            assert sum(x * x for x in got) == sum(x * x for x in want), basis
+
+    @pytest.mark.parametrize("m,a", NAMED_MULTIPLIERS)
+    def test_same_vector_on_named_multipliers(self, m, a):
+        basis = dual_lattice_basis(LcgParams(m, a, 0, 1), 2)
+        assert shortest_vector(basis) == lagrange_shortest(*basis)
 
 
 class TestIntegralLll:

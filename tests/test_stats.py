@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from rngaudit.stats import (
     TestResult as ResultRecord,
+    _betacf,
+    _gamma_q_contfrac,
+    _log_gamma_prefactor,
     _sum_parts,
     anderson_darling_sf,
     anderson_darling_uniform,
@@ -26,7 +30,7 @@ from rngaudit.stats import (
 )
 from rngaudit.generators import MT19937, make_generator
 
-from oracles import anderson_darling_a2
+from oracles import anderson_darling_a2, nr_betacf, nr_gcf
 
 
 def mt_sample(n, seed=5489):
@@ -102,6 +106,38 @@ class TestBetaFamily:
         assert f_sf(0.5, 9, df) == pytest.approx(
             scipy.stats.f.sf(0.5, 9, df), rel=1e-13
         )
+
+
+class TestContinuedFractions:
+    """The one Lentz driver gives both textbook fractions bit for bit, also
+    where they stop at the iteration cap unconverged."""
+
+    @staticmethod
+    def _shape(rng):
+        return math.exp(rng.uniform(math.log(0.5), math.log(5e6)))
+
+    def test_gamma_equals_textbook_loop(self):
+        rng = random.Random(2301)
+        points = [(df / 2, df / 2 + 1.0) for df in (10**6, 10**7)]  # at the cap
+        for _ in range(300):
+            s = self._shape(rng)
+            points.append((s, s + 1.0 + math.exp(rng.uniform(-7.0, math.log(50.0 * math.sqrt(s))))))
+        for s, x in points:
+            want = math.exp(_log_gamma_prefactor(s, x)) * nr_gcf(s, x)
+            assert _gamma_q_contfrac(s, x) == want, (s, x)
+
+    def test_beta_equals_textbook_loop(self):
+        # on either side of betainc_reg's switch, as betainc_reg calls it
+        rng = random.Random(2302)
+        for i in range(300):
+            a, b = self._shape(rng), self._shape(rng)
+            switch = (a + 1.0) / (a + b + 2.0)
+            gap = 10.0 ** rng.uniform(-8.0, 0.0)  # relative distance from the switch
+            if i % 2:
+                args = (a, b, switch * (1.0 - gap))
+            else:
+                args = (b, a, 1.0 - (switch + (1.0 - switch) * gap))
+            assert _betacf(*args) == nr_betacf(*args), args
 
 
 class TestTailDistributions:
