@@ -338,14 +338,15 @@ def global_uniformity(
     n = v.size
     if n < 100:
         raise ValueError("global uniformity needs at least 100 observations")
-    # sorted once for both distance tests, which leave a sorted sample as it is
-    ordered = np.sort(v)
     results = [
         t_test_mean(v, 0.5, alpha),
         variance_test(v, 1.0 / 12.0, alpha),
         levene_test(v, levene_groups, alpha),
-        ks_test_uniform(ordered, alpha),
     ]
+    # sorted once for both distance tests, which leave a sorted sample as it
+    # is; only now, so the copy never meets the temporaries of the three above
+    ordered = np.sort(v)
+    results.append(ks_test_uniform(ordered, alpha))
     # chi_square_gof's own check, made before the gof_bins-long arrays exist
     if n < gof_bins:
         raise ValueError("expected counts below 1 break the chi-square approximation")

@@ -4,7 +4,9 @@ Three families are provided: the plain linear congruential generator
 (LCG), a combined three-stream LCG built on the AS 183 constants of
 Wichmann and Hill (1982), and a 32-bit Mersenne Twister used as the
 reference generator.  Each family produces its stream in one place, a
-block method that returns exactly the values asked for.  An LCG block
+fill method that writes the next values into an array of up to
+STAT_BLOCK of them; a bulk draw fills its output that many values at a
+time, so it holds no temporary that grows with the draw.  An LCG fill
 continues from the last 4096 states of the stream (the seed alone at
 first): it doubles the states it has by jumping each ahead from the one
 1, 2, 4, ... steps before it, and from 4096 states on jumps each later
@@ -33,6 +35,8 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
+
+from .stats import STAT_BLOCK
 
 __all__ = [
     "FactorizationError",
@@ -149,11 +153,12 @@ def _uniforms(states: np.ndarray, m: int) -> np.ndarray:
 class UniformGenerator:
     """Base class for a deterministic stream of uniforms in [0, 1).
 
-    A family supplies only ``_block(n)``: the next n uniforms of its
-    stream, in order, for n >= 1.  ``generate`` and ``next_uniform`` both
-    hand out values from one buffer, which a scalar draw refills with a
-    whole block, so any interleaving of the two reads the one stream.  The
-    family's own state therefore runs ahead of the values handed out.
+    A family supplies only ``_fill(out)``: the next ``out.size`` uniforms
+    of its stream, in order, written into ``out``, for 1 <= out.size <=
+    STAT_BLOCK.  ``generate`` and ``next_uniform`` both hand out values
+    from one buffer, which a scalar draw refills with a whole block, so
+    any interleaving of the two reads the one stream.  The family's own
+    state therefore runs ahead of the values handed out.
     """
 
     # the buffer: values drawn but not yet handed out, in stream order.  The
@@ -184,10 +189,18 @@ class UniformGenerator:
         return np.concatenate((head, block)) if head.size else block
 
     def _block(self, n: int) -> np.ndarray:
+        """The next n uniforms, filled STAT_BLOCK at a time: no temporary of
+        a family grows with n."""
+        out = np.empty(n)
+        for start in range(0, n, STAT_BLOCK):
+            self._fill(out[start:start + STAT_BLOCK])
+        return out
+
+    def _fill(self, out: np.ndarray) -> None:
         raise NotImplementedError
 
     def sample(self, n: int) -> "Sample":
-        return Sample(self.generate(n), provenance=self.descriptor)
+        return Sample.adopt(self.generate(n), self.descriptor)
 
 
 class Lcg(UniformGenerator):
@@ -201,11 +214,11 @@ class Lcg(UniformGenerator):
     def descriptor(self) -> str:
         return self.params.descriptor
 
-    def _block(self, n: int) -> np.ndarray:
+    def _fill(self, out: np.ndarray) -> None:
         p = self.params
         states, self._tail = _lcg_states(p.modulus, p.multiplier, p.increment,
-                                         self._tail, n)
-        return _uniforms(states, p.modulus)
+                                         self._tail, out.size)
+        out[:] = _uniforms(states, p.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +251,15 @@ class WichmannHill(UniformGenerator):
         s1, s2, s3 = self._seeds
         return f"wh:seed1={s1},seed2={s2},seed3={s3}"
 
-    def _block(self, n: int) -> np.ndarray:
-        total = np.zeros(n)
+    def _fill(self, out: np.ndarray) -> None:
+        out[:] = 0.0
         tails = []
         for m, a, tail in zip(WH_AS183_MODULI, WH_AS183_MULTIPLIERS, self._tails):
-            component, tail = _lcg_states(m, a, 0, tail, n)
-            total += _uniforms(component, m)  # 0.0 + u1, then + u2, then + u3
+            component, tail = _lcg_states(m, a, 0, tail, out.size)
+            out += _uniforms(component, m)  # 0.0 + u1, then + u2, then + u3
             tails.append(tail)
         self._tails = tuple(tails)
-        return np.remainder(total, 1.0, out=total)
+        np.remainder(out, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +294,10 @@ class MT19937(UniformGenerator):
     def descriptor(self) -> str:
         return f"mt:seed={self._seed}"
 
-    def _block(self, n: int) -> np.ndarray:
-        """The next n words, as uniforms: randbytes packs whole 32-bit
-        words little-endian, in stream order."""
-        return np.frombuffer(self._rng.randbytes(4 * n), "<u4") / 2**32
+    def _fill(self, out: np.ndarray) -> None:
+        """The next words, as uniforms: randbytes packs whole 32-bit words
+        little-endian, in stream order."""
+        np.divide(np.frombuffer(self._rng.randbytes(4 * out.size), "<u4"), 2**32, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +416,29 @@ class Sample:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("sample must be one-dimensional")
-        if v.size and not (np.all(v >= 0.0) and np.all(v < 1.0)):
-            raise ValueError("sample values must lie in [0, 1)")
-        v = v.copy() if v is self.values else v
-        v.setflags(write=False)
-        self.values = v
+        self.values = _checked(v.copy() if v is self.values else v)
+
+    @classmethod
+    def adopt(cls, values: np.ndarray, provenance: str) -> "Sample":
+        """A sample over ``values``, a fresh float64 array that no one else
+        holds: checked and made read-only, not copied."""
+        sample = cls.__new__(cls)
+        sample.values, sample.provenance = _checked(values), provenance
+        return sample
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _checked(v: np.ndarray) -> np.ndarray:
+    """``v``, read-only, once it is found one-dimensional and in [0, 1).
+    min and max walk it without a temporary, and a NaN makes both NaN."""
+    if v.ndim != 1:
+        raise ValueError("sample must be one-dimensional")
+    if v.size and not (v.min() >= 0.0 and v.max() < 1.0):
+        raise ValueError("sample values must lie in [0, 1)")
+    v.setflags(write=False)
+    return v
 
 
 # ---------------------------------------------------------------------------

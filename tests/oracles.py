@@ -7,6 +7,7 @@ with the package is evidence, not circularity.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -368,6 +369,58 @@ def load_sample_lines(path, header_prefix="# rngaudit-sample v1"):
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
     return np.asarray(values, dtype=np.float64), provenance
+
+
+def whole_file_load_sample(path):
+    """``load_sample`` as it read a file before it read one in blocks: a
+    scan for headers, inline comments and NULs, then ``np.loadtxt`` of the
+    whole file into READ_WIDTH-byte rows for the exact kernel, or into
+    floats after a NUL or a text that fills its row."""
+    from rngaudit.generators import Sample
+    from rngaudit.io import READ_WIDTH, SAMPLE_HEADER_PREFIX, TEXT_BLOCK, _bad_line, _read_rows
+
+    provenance, inline, nul = "external file", False, False
+    with open(path) as fh:
+        text = fh.read()
+    nul = "\0" in text
+    at = text.find("#")
+    while at >= 0:
+        head = text[text.rfind("\n", 0, at) + 1:at]
+        inline |= bool(head) and not head.isspace()
+        end = text.find("\n", at)
+        comment = text[at:len(text) if end < 0 else end]
+        tail = comment[len(SAMPLE_HEADER_PREFIX):].strip()
+        if comment.startswith(SAMPLE_HEADER_PREFIX) and tail:
+            provenance = tail
+        at = -1 if end < 0 else text.find("#", end)
+    del text
+    try:
+        if inline:
+            raise ValueError("a '#' inside a value line")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without values
+            rows = np.loadtxt(path, dtype=np.float64 if nul else f"S{READ_WIDTH}",
+                              comments="#", ndmin=2)
+            if rows.shape[1] > 1:
+                raise ValueError("more than one value on a line")
+            if not nul and rows.view(np.uint8)[:, -1].any():
+                rows = np.loadtxt(path, dtype=np.float64, comments="#", ndmin=2)
+        if rows.dtype == np.float64:
+            return Sample(rows[:, 0], provenance=provenance)
+        rows = rows.view(np.uint8)
+        values = np.empty(rows.shape[0])
+        read = np.empty(rows.shape[0], bool)
+        for start in range(0, rows.shape[0], TEXT_BLOCK):
+            block = slice(start, start + TEXT_BLOCK)
+            read[block] = _read_rows(rows[block], values[block])
+        others = np.flatnonzero(~read)
+        if others.size:
+            texts = [t.decode("latin-1")
+                     for t in rows[others].view(f"S{READ_WIDTH}")[:, 0].tolist()]
+            values[others] = np.loadtxt(texts, dtype=np.float64, ndmin=1)
+        return Sample(values, provenance=provenance)
+    except ValueError as exc:
+        raise ValueError(_bad_line(path) or f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -519,8 +519,9 @@ class TestStatBlocks:
                 tracemalloc.stop()
         for name in ("permutation", "serial", "birthday"):
             assert peaks[name] < 2 * 2**20, name
-        # the sorted copy and Levene's |x - group mean| are sample-sized
-        assert peaks["uniformity"] < 2 * v.nbytes + 2 * 2**20
+        # the sorted copy and Levene's |x - group mean| are sample-sized, and
+        # the sort comes after Levene, so they are never held together
+        assert peaks["uniformity"] < v.nbytes + 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

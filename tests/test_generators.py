@@ -21,6 +21,7 @@ from rngaudit import (
     load_sample,
 )
 from rngaudit.generators import _JUMP, WH_AS183_MODULI, WH_AS183_MULTIPLIERS, _lcg_states
+from rngaudit.stats import STAT_BLOCK
 from oracles import (
     ScalarMT,
     dict_period,
@@ -220,21 +221,45 @@ class TestDoublingFill:
             assert _bits(gen.generate(1)) == _bits(want[n : n + 1])
 
     def test_bulk_draw_holds_no_temporary_above_a_jump(self):
-        # the states and their uniforms take 8n bytes each; any temporary of
-        # more than _JUMP values would show on top of them
+        # the uniforms take 8n bytes; a temporary of more than a block of
+        # STAT_BLOCK values, or a state array beside them, would show on top
         n = 10**6
-        gen = make_generator("lcg:m=2147483647,a=16807,c=0,seed=1")
-        peaks = []
-        for draw in (lambda: _lcg_states(2**31 - 1, 16807, 0, (1,), n),
-                     lambda: gen.generate(n)):
-            tracemalloc.start()
-            try:
-                draw()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 8 * n + 16 * 8 * _JUMP
-        assert peaks[1] <= 2 * 8 * n + 16 * 8 * _JUMP
+        assert _peak(lambda: _lcg_states(2**31 - 1, 16807, 0, (1,), n)) <= 8 * n + 16 * 8 * _JUMP
+        # per value of a block: states, uniforms and jump temporaries, in
+        # uint64 or, for m > 2**32, as Python integers and floats
+        for descriptor, block_bytes in [("lcg:m=2147483647,a=16807,c=0,seed=1", 32),
+                                        ("lcg:m=8589934583,a=3486784401,c=1,seed=5", 128),
+                                        ("wh:seed1=1,seed2=2,seed3=3", 32), ("mt:seed=1", 32)]:
+            gen = make_generator(descriptor)
+            assert _peak(lambda: gen.generate(n)) <= 8 * n + block_bytes * STAT_BLOCK, descriptor
+            assert _peak(lambda: gen.sample(n)) <= 8 * n + block_bytes * STAT_BLOCK, descriptor
+
+    @pytest.mark.parametrize("n", [STAT_BLOCK - 1, STAT_BLOCK, STAT_BLOCK + 1, 2 * STAT_BLOCK + 3])
+    def test_draws_across_the_stat_blocks(self, n):
+        # bulk draws fill their output a block of STAT_BLOCK values at a time
+        seeds = (11, 22, 33)
+        families = [
+            (Lcg(LcgParams(2**31 - 1, 16807, 0, 12345)),
+             [s / (2**31 - 1) for s in lcg_sequence(2**31 - 1, 16807, 0, 12345, n + 1)]),
+            (Lcg(LcgParams(2**33 - 9, 3**20, 1, 5)),
+             [s / (2**33 - 9) for s in lcg_sequence(2**33 - 9, 3**20, 1, 5, n + 1)]),
+            (WichmannHill(*seeds), _wh_sequence(seeds, n + 1)),
+        ]
+        mt = ScalarMT(4357)
+        families.append((MT19937(4357), [mt.next_word() / 2**32 for _ in range(n + 1)]))
+        for gen, want in families:
+            assert _bits(gen.generate(n)) == _bits(want[:n])
+            assert _bits(gen.generate(1)) == _bits(want[n:])
+
+
+def _peak(draw) -> int:
+    """The peak of traced memory while ``draw()`` runs."""
+    tracemalloc.start()
+    try:
+        draw()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +588,26 @@ class TestSample:
             Sample(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             Sample(np.array([-0.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.0, -0.25])
+    def test_a_value_outside_0_1_is_rejected(self, bad):
+        for make in (Sample, lambda v: Sample.adopt(v, "t")):
+            with pytest.raises(ValueError, match=r"lie in \[0, 1\)"):
+                make(np.array([0.5, bad, 0.25]))
+
+    @pytest.mark.parametrize("edge", [-0.0, np.nextafter(1.0, 0.0)])
+    def test_the_edges_of_0_1_are_accepted(self, edge):
+        for make in (Sample, lambda v: Sample.adopt(v, "t")):
+            values = make(np.array([0.5, edge, 0.0])).values
+            assert _bits(values) == _bits([0.5, edge, 0.0])
+
+    def test_a_callers_array_is_copied_and_a_fresh_one_adopted(self):
+        mine = np.array([0.5, 0.25])
+        assert Sample(mine).values is not mine
+        assert mine.flags.writeable
+        fresh = np.array([0.5, 0.25])
+        assert Sample.adopt(fresh, "t").values is fresh
+        assert not fresh.flags.writeable
 
     def test_immutable(self):
         s = Sample(np.array([0.1, 0.2]))

@@ -5,6 +5,7 @@ for the exact reader of sample files."""
 from __future__ import annotations
 
 import os
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import whole_file_load_sample
+from rngaudit import io
 from rngaudit.generators import Sample, make_generator
 from rngaudit.io import (READ_WIDTH, TEXT_BLOCK, _read_rows, atomic_files, atomic_write_text,
                          join_rows, load_sample, repr_rows, repr_text, sample_lines, save_sample)
@@ -276,7 +279,8 @@ class TestLoadSample:
                               tmp_path / "s.txt")
 
     def test_a_text_longer_than_a_row(self, tmp_path):
-        # numpy cuts it to READ_WIDTH bytes, so the whole file is read as floats
+        # a line longer than a row goes to numpy's float parser, with the
+        # other such lines of its block
         long = "0.12345678901234567890123456789"
         assert len(long) > READ_WIDTH
         assert_reads_as_float(["0.5", long, "0.25"], tmp_path / "s.txt")
@@ -328,3 +332,112 @@ class TestLoadSample:
         save_sample(Sample(x, provenance="t"), path)
         monkeypatch.setattr(np, "strings", None, raising=False)
         assert load_sample(path).values.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# load_sample in small blocks against the whole-file reader
+
+
+def outcome(load, path):
+    """The values' bits and the provenance that ``load`` gives, or its error."""
+    try:
+        sample = load(path)
+    except UnicodeDecodeError:
+        return "UnicodeDecodeError"  # the byte offset it names depends on how text is read
+    except ValueError as exc:
+        return str(exc)
+    return sample.values.view(np.uint64).tolist(), sample.provenance
+
+
+def assert_reads_as_the_whole_file(data, path, monkeypatch, sizes=range(1, 41)):
+    """With READ_BLOCK at each of ``sizes``, every line of ``data`` starts
+    or ends across a block boundary at each offset; every one gives what
+    the whole-file reader gives."""
+    path.write_bytes(data)
+    want = outcome(whole_file_load_sample, path)
+    for size in sizes:
+        monkeypatch.setattr(io, "READ_BLOCK", size)
+        assert outcome(load_sample, path) == want, f"READ_BLOCK = {size}"
+    return want
+
+
+HEADER = b"# rngaudit-sample v1 mt:seed=1\n"
+LONG = b"0.12345678901234567890123456789"
+
+
+class TestReadInBlocks:
+    @pytest.mark.parametrize("data", [
+        HEADER + b"0.5\n0.123456789\n0.25\n0.0001\n0.99999999999999989\n",
+        HEADER + b" 0.5 \n\t0.25\n\n   \n5.3e-05\n0.\n0.0\n",
+        b"0.5\r\n0.25\r\n0.125\r\n\r\n0.75\r\n",
+        b"0.5\r0.25\r\r0.125\r",
+        b"0.5\n" + LONG + b"\n0.25\n" + LONG[:READ_WIDTH] + b"\n" + LONG[:READ_WIDTH - 1] + b"\n",
+        b"# \xc3\xa9 note \xe2\x82\xac\n0.5\n# \x00 a NUL in a comment\n0.25\n",
+        b"0.5\n0.25",
+        b"# rngaudit-sample v1 mt:seed=3\n",
+        b"# rngaudit-sample v1 mt:seed=3",
+        b"",
+        b"\n\n  \n",
+    ], ids=["values", "spaces-blanks-others", "crlf", "cr", "long", "non-ascii-comment",
+            "no-final-newline", "header-only", "header-only-no-newline", "empty", "blank"])
+    def test_reads_as_the_whole_file(self, data, tmp_path, monkeypatch):
+        assert not isinstance(assert_reads_as_the_whole_file(data, tmp_path / "s.txt", monkeypatch),
+                              str)
+
+    def test_the_last_header_wins_in_a_later_block(self, tmp_path, monkeypatch):
+        data = (b"# rngaudit-sample v1 first\n0.5\n0.25\n# rngaudit-sample v1 second\n0.75\n"
+                b"# rngaudit-sample v1 \n# a plain comment\n  # rngaudit-sample v1   \n0.125\n")
+        values, provenance = assert_reads_as_the_whole_file(data, tmp_path / "s.txt", monkeypatch)
+        assert provenance == "second"
+        assert len(values) == 4
+
+    @pytest.mark.parametrize("line", [b"0.25 # note", b"0.2\x005", b"\x00", b"0.5\xc3\xa9",
+                                      b"0.5 0.25", b"1.0", b"-0.25", b"nan", LONG + b"x",
+                                      b"0.1234567890123456789012x"])
+    def test_a_bad_line_gives_the_same_error(self, line, tmp_path, monkeypatch):
+        data = HEADER + b"0.5\n0.25\n" + line + b"\n0.125\n"
+        error = assert_reads_as_the_whole_file(data, tmp_path / "s.txt", monkeypatch)
+        assert error.startswith(f"{tmp_path / 's.txt'}:4: ")
+
+    def test_a_later_byte_that_is_not_utf8_wins_over_a_bad_line(self, tmp_path, monkeypatch):
+        # past the text layer's first 8192 bytes, which the bad line's search decodes
+        data = b"0.5\n0.25 # note\n" + b"0.125\n" * 2000 + b"\xff\n"
+        error = assert_reads_as_the_whole_file(data, tmp_path / "s.txt", monkeypatch, (1, 7, 64))
+        assert error == "UnicodeDecodeError"
+
+    def test_a_crlf_split_across_the_text_decoders_chunks(self, tmp_path, monkeypatch):
+        # the text layer decodes 8192 bytes at a time: put a CR last in one
+        lines = b"0.5\n" * 2047 + b"0.2\r\n0.25\r\n"
+        assert lines[8191:8193] == b"\r\n"
+        values, _ = assert_reads_as_the_whole_file(lines, tmp_path / "s.txt", monkeypatch,
+                                                   (7, 64, 1 << 17))
+        assert len(values) == 2049
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(
+               ["0.5", "0.25", "0.1234567890123456789012", LONG.decode(), "5e-05", "0.", "1.0",
+                " ", "\t", "#", "# rngaudit-sample v1 ", "x", "\x00", "\u00e9", "\r", "\n",
+                "\r\n", "\n", "\n"]), max_size=30),
+           size=st.integers(1, 48))
+    def test_any_file_reads_as_the_whole_file(self, tmp_path_factory, pieces, size):
+        path = tmp_path_factory.mktemp("blocks") / "s.txt"
+        mp = pytest.MonkeyPatch()
+        try:
+            assert_reads_as_the_whole_file("".join(pieces).encode(), path, mp, (size,))
+        finally:
+            mp.undo()
+
+    def test_holds_the_values_and_a_block(self, tmp_path):
+        n = 1 << 20
+        path = tmp_path / "s.txt"
+        save_sample(make_generator("mt:seed=3").sample(n), path)
+        tracemalloc.start()
+        try:
+            sample = load_sample(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sample) == n
+        # 8 bytes a value, a sixteenth more until the array is shrunk, and the
+        # work arrays of one READ_BLOCK
+        assert peak < 8 * n + 4 * 2**20
