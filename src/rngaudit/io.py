@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 SAMPLE_HEADER_PREFIX = "# rngaudit-sample v1"
-# Text writers format, and load_sample reads, this many lines at a time; a
-# whole large array at once would hold its text and the work arrays beside it.
+# Text writers format this many lines at a time; a whole large array at once
+# would hold its text and the work arrays beside it.
 TEXT_BLOCK = 1 << 12
 # repr_rows: each value's text in a row of REPR_WIDTH bytes, at most 24 of
 # them, and the byte after the longest text for the character after it.
@@ -252,8 +252,9 @@ def _read_file(fh) -> tuple[np.ndarray, str]:
     grows in place (``resize``) by the block and the larger of two
     guesses: the rest of the file at that block's density and a sixteenth
     more, and an eighth of the values so far (for a file of unknown
-    size).  At the end it shrinks in place to the values read.  After an error the rest of the file is still decoded, so a byte
-    that is not UTF-8 anywhere in it is the error raised.
+    size).  At the end it shrinks in place to the values read.  After an
+    error the rest of the file is still decoded, so a byte that is not
+    UTF-8 anywhere in it is the error raised.
     """
     size = os.fstat(fh.fileno()).st_size
     values, count, seen, provenance = np.empty(0), 0, 0, "external file"
