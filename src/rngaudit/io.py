@@ -7,11 +7,11 @@ Large files are written in pieces of ``TEXT_BLOCK`` lines, so none has
 to exist as one string.
 
 A sample file is one decimal value per line (``repr``, so it round-trips
-exactly) after a provenance header line.  ``load_sample`` reads it back
-exactly in one pass over the file, READ_BLOCK characters at a time, into
-one array of 8 bytes a value: on a 2-core Xeon container its peak
-resident memory over the bare import is 10.7 MB for 1e6 values and
-83.7 MB for 1e7.
+exactly) after a provenance header line.  ``load_sample`` reads each line
+as ``float`` reads it, and names the first bad line itself, in one pass
+over the file, READ_BLOCK characters at a time, into one array of 8 bytes
+a value: on a 2-core Xeon container its peak resident memory over the
+bare import is 10.7 MB for 1e6 values and 83.7 MB for 1e7.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def atomic_files(paths):
             tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                                _TMP_PREFIX + os.urandom(8).hex())
             # "x" creates the file (O_EXCL), so a name that exists is an error
-            handles.append(open(tmp, "x"))
+            handles.append(open(tmp, "x", encoding="utf-8"))
             temps.append(tmp)
         yield handles
         for fh in handles:
@@ -225,26 +225,21 @@ def save_sample(sample: Sample, path) -> None:
 
 
 def load_sample(path) -> Sample:
-    """Read a sample file: one value per line.
+    """Read a sample file: one value per line, as ``float`` reads it.
 
     Blank lines and lines that start with '#' are skipped anywhere; the
-    last provenance header names the sample.  A line that is not one
-    number raises ``path:line: not a number: '...'``, and one whose value
-    is not in [0, 1) ``path:line: outside [0, 1): '...'``.  The file is
-    read once, READ_BLOCK characters at a time, into one array: see
-    ``_read_lines`` for a block.
+    last provenance header names the sample.  The first line that is not
+    one number raises ``path:line: not a number: '...'``, and the first
+    whose value is not in [0, 1) ``path:line: outside [0, 1): '...'``.
+    The file is read once, as UTF-8, READ_BLOCK characters at a time,
+    into one array: see ``_read_lines`` for a block.
     """
-    try:
-        with open(path) as fh:
-            values, provenance = _read_file(fh)
-        return Sample.adopt(values, provenance)
-    except UnicodeDecodeError:  # a ValueError too, raised as it is
-        raise
-    except ValueError as exc:
-        raise ValueError(_bad_line(path) or f"{path}: {exc}") from None
+    with open(path, encoding="utf-8") as fh:
+        values, provenance = _read_file(fh, path)
+    return Sample.adopt(values, provenance)
 
 
-def _read_file(fh) -> tuple[np.ndarray, str]:
+def _read_file(fh, path) -> tuple[np.ndarray, str]:
     """The values of an open sample file and the provenance of its last
     named header.
 
@@ -252,21 +247,22 @@ def _read_file(fh) -> tuple[np.ndarray, str]:
     grows in place (``resize``) by the block and the larger of two
     guesses: the rest of the file at that block's density and a sixteenth
     more, and an eighth of the values so far (for a file of unknown
-    size).  At the end it shrinks in place to the values read.  After an
-    error the rest of the file is still decoded, so a byte that is not
-    UTF-8 anywhere in it is the error raised.
+    size).  At the end it shrinks in place to the values read.  A bad
+    line raises ``path:line: ...``, numbered by the lines of the blocks
+    before it; the rest of the file is still decoded first, so a byte
+    that is not UTF-8 anywhere in it is the error raised.
     """
     size = os.fstat(fh.fileno()).st_size
-    values, count, seen, provenance = np.empty(0), 0, 0, "external file"
+    values, count, seen, lines, provenance = np.empty(0), 0, 0, 0, "external file"
     blocks = _line_blocks(fh)
     for data in blocks:
         seen += len(data)
-        try:
-            block, header = _read_lines(data)
-        except ValueError:
+        block, header, good, error = _read_lines(data)
+        if error:
             for _ in blocks:
                 pass
-            raise
+            raise ValueError(f"{path}:{lines + good + 1}: {error}")
+        lines += good
         provenance = header or provenance
         if count + block.size > values.size:
             rest = (size - seen) * (block.size + 1) // len(data)
@@ -293,18 +289,20 @@ def _line_blocks(fh):
         yield rest + b"\n"
 
 
-def _read_lines(data: bytes) -> tuple[np.ndarray, str | None]:
+def _read_lines(data: bytes) -> tuple[np.ndarray, str | None, int, str | None]:
     """The values of ``data``, whole lines of a sample file's text as
-    UTF-8, and the provenance of its last named header (None if none).
+    UTF-8, the provenance of its last named header (None if none), the
+    number of lines before its first bad line (all of them if none), and
+    that line's error (None if none).
 
     Each line of at most READ_WIDTH bytes without a NUL becomes one row of
     ``_read_rows``: one unaligned load of the READ_WIDTH bytes from its
     start in the block, padded with NULs, with the bytes past its end
     masked to NUL.  Every other line that is not empty is looked at as
-    text: a blank line
-    or a comment holds no value, a '#' after other text on its line is an
-    error, and the rest go to numpy's float parser, all of a block's in
-    one call.
+    text, stripped: a blank line or a comment holds no value, and the
+    rest are read with ``float``, one at a time.  The first line of the
+    block that is not one number, or whose value is not in [0, 1), is the
+    bad line, whichever of the two reads it.
     """
     raw = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
@@ -320,26 +318,31 @@ def _read_lines(data: bytes) -> tuple[np.ndarray, str | None]:
     if b"\0" in data:
         # the kernel reads a NUL as "0"
         read[np.searchsorted(ends, np.flatnonzero(raw == 0))] = False
-    header, texts, lines = None, [], []
+    # a row the kernel reads is below 1 and leaves [0, 1) only by rounding
+    # up to 1.0; the texts past the first such row need no look
+    over = np.flatnonzero(read & (values == 1.0))
+    header, bad, error = None, ends.size, None
+    if over.size:
+        bad = int(over[0])
+        error = f"outside [0, 1): {data[starts[bad]:ends[bad]].decode()!r}"
     others = np.flatnonzero(~read & (length > 0))
     for i, start, end in zip(others.tolist(), starts[others].tolist(), ends[others].tolist()):
-        line = data[start:end].decode()
-        at = line.find("#")
-        if at < 0:
-            if not line.isspace():
-                texts.append(line)
-                lines.append(i)
-        elif at and not line[:at].isspace():
-            raise ValueError("a '#' inside a value line")
-        elif line.startswith(SAMPLE_HEADER_PREFIX, at):
-            header = line[at + len(SAMPLE_HEADER_PREFIX):].strip() or header
-    if texts:
-        parsed = np.loadtxt(texts, dtype=np.float64, ndmin=2)
-        if parsed.shape != (len(texts), 1):
-            raise ValueError("more than one value on a line")
-        values[lines] = parsed[:, 0]
-        read[lines] = True
-    return (values if read.all() else values[read]), header
+        if i > bad:
+            break
+        line = data[start:end].decode().strip()
+        if line.startswith(SAMPLE_HEADER_PREFIX):
+            header = line[len(SAMPLE_HEADER_PREFIX):].strip() or header
+        elif line and not line.startswith("#"):
+            try:
+                value = float(line)
+            except ValueError:
+                bad, error = i, f"not a number: {line!r}"
+                break
+            if not 0.0 <= value < 1.0:
+                bad, error = i, f"outside [0, 1): {line!r}"
+                break
+            values[i], read[i] = value, True
+    return (values if read.all() else values[read]), header, bad, error
 
 
 def _read_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -400,19 +403,3 @@ def _read_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     bits -= -d > _POW5_22 >> (fraction == 0)
     # "0." is read as the digits "00", so lead < 10**6; and v >= 1e-4
     return (bad == 0) & (lead >= 100) & (lead < 10**6)
-
-
-def _bad_line(path) -> str | None:
-    """The error for the first line of the file that is neither blank, a
-    comment nor a number in [0, 1), if there is one."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                try:
-                    value = float(line)
-                except ValueError:
-                    return f"{path}:{lineno}: not a number: {line!r}"
-                if not 0.0 <= value < 1.0:
-                    return f"{path}:{lineno}: outside [0, 1): {line!r}"
-    return None

@@ -371,13 +371,29 @@ def load_sample_lines(path, header_prefix="# rngaudit-sample v1"):
     return np.asarray(values, dtype=np.float64), provenance
 
 
+def _bad_line(path) -> str | None:
+    """The error for the first line of the file that is neither blank, a
+    comment nor a number in [0, 1), if there is one."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    value = float(line)
+                except ValueError:
+                    return f"{path}:{lineno}: not a number: {line!r}"
+                if not 0.0 <= value < 1.0:
+                    return f"{path}:{lineno}: outside [0, 1): {line!r}"
+    return None
+
+
 def whole_file_load_sample(path):
     """``load_sample`` as it read a file before it read one in blocks: a
     scan for headers, inline comments and NULs, then ``np.loadtxt`` of the
     whole file into READ_WIDTH-byte rows for the exact kernel, or into
     floats after a NUL or a text that fills its row."""
     from rngaudit.generators import Sample
-    from rngaudit.io import READ_WIDTH, SAMPLE_HEADER_PREFIX, TEXT_BLOCK, _bad_line, _read_rows
+    from rngaudit.io import READ_WIDTH, SAMPLE_HEADER_PREFIX, TEXT_BLOCK, _read_rows
 
     provenance, inline, nul = "external file", False, False
     with open(path) as fh:

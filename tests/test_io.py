@@ -5,6 +5,9 @@ for the exact reader of sample files."""
 from __future__ import annotations
 
 import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 
@@ -272,15 +275,15 @@ class TestLoadSample:
         assert _read_rows(rows.view(np.uint8).reshape(-1, READ_WIDTH), out).all()
         assert out.view(np.uint64).tolist() == x.view(np.uint64).tolist()
 
-    def test_other_texts_go_to_numpys_parser(self, tmp_path):
+    def test_other_texts_go_to_float(self, tmp_path):
         assert_reads_as_float(["0.5", "5.3e-05", "0.0", "0.", "0.00001", "1e-4", ".25", "0.25e0",
                                "+0.5", "0.99999999999999994", "00.5", "0.123456789012345678901",
                                "2.5e-1", "0.1234567e-1", "0.12345678901234e-3", "0.12345e+0"],
                               tmp_path / "s.txt")
 
     def test_a_text_longer_than_a_row(self, tmp_path):
-        # a line longer than a row goes to numpy's float parser, with the
-        # other such lines of its block
+        # a line longer than a row is read by float, as is every line the
+        # kernel does not read
         long = "0.12345678901234567890123456789"
         assert len(long) > READ_WIDTH
         assert_reads_as_float(["0.5", long, "0.25"], tmp_path / "s.txt")
@@ -324,6 +327,52 @@ class TestLoadSample:
         path.write_bytes(data)
         with pytest.raises(UnicodeDecodeError):
             load_sample(path)
+
+    def test_the_grammar_is_floats(self, tmp_path):
+        # numpy's parser rejected these, and named no line of the file
+        path = tmp_path / "s.txt"
+        path.write_text("# rngaudit-sample v1 x\n0.5\n 0.25\n5e-05\n0.2_5\n")
+        assert load_sample(path).values.tolist() == [0.5, 0.25, 5e-05, 0.25]
+        path.write_text("# rngaudit-sample v1 x\n0.5\n 0.25\n5e-05\n0.2_5x\n")
+        with pytest.raises(ValueError) as exc:
+            load_sample(path)
+        assert str(exc.value) == f"{path}:5: not a number: '0.2_5x'"
+        assert_reads_as_float(["\u0660.\u0665", "\uff10.\uff15", "1_0e-5", "0.5"],
+                              tmp_path / "t.txt")
+
+    def test_an_error_opens_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "bad.txt"
+        path.write_text("0.5\n0.25\nx\n0.125\n")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open, raising=False)
+        with pytest.raises(ValueError, match=r":3: not a number: 'x'$"):
+            load_sample(path)
+        assert opened == [path]
+
+    def test_reads_and_writes_utf8_in_the_c_locale(self, tmp_path):
+        # in the C locale, without UTF-8 mode, open() defaults to ASCII
+        (tmp_path / "in.txt").write_bytes("# caf\u00e9 \u20ac\n0.5\n".encode())
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from rngaudit.generators import Sample\n"
+             "from rngaudit.io import load_sample, save_sample\n"
+             "print(load_sample(sys.argv[1]).values.tolist())\n"
+             "save_sample(Sample([0.25], provenance='caf\\u00e9'), sys.argv[2])\n",
+             str(tmp_path / "in.txt"), str(tmp_path / "out.txt")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0.5]"
+        written = (tmp_path / "out.txt").read_bytes()
+        assert written == "# rngaudit-sample v1 caf\u00e9\n0.25\n".encode()
 
     def test_reads_without_the_numpy_2_strings_namespace(self, tmp_path, monkeypatch):
         # the declared floor is numpy 1.24, which has no numpy.strings
@@ -426,6 +475,51 @@ class TestReadInBlocks:
             assert_reads_as_the_whole_file("".join(pieces).encode(), path, mp, (size,))
         finally:
             mp.undo()
+
+    @pytest.mark.parametrize("first, second, error", [
+        ("0.99999999999999999", "x", "outside [0, 1): '0.99999999999999999'"),
+        ("x", "0.99999999999999999", "not a number: 'x'"),
+        ("1.5", "0.99999999999999999", "outside [0, 1): '1.5'"),
+        ("0.99999999999999999", "nan", "outside [0, 1): '0.99999999999999999'"),
+    ], ids=["kernel-then-text", "text-then-kernel", "outside-then-kernel", "kernel-then-nan"])
+    def test_the_first_bad_line_of_a_block_wins(self, first, second, error, tmp_path):
+        # the kernel reads 0.99999999999999999 and rounds it up to 1.0
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# rngaudit-sample v1 x\n0.5\n{first}\n0.25\n{second}\n0.125\n")
+        with pytest.raises(ValueError) as exc:
+            load_sample(path)
+        assert str(exc.value) == f"{path}:3: {error}"
+
+    @pytest.mark.parametrize("size", [None, 64])
+    @pytest.mark.parametrize("line", ["x", "0.99999999999999999", "-0.5"])
+    def test_a_bad_line_in_a_later_block_names_its_line(self, line, size, tmp_path, monkeypatch):
+        # 30 000 lines of about 20 characters, several blocks of the default
+        # size; line 1 is the header, so the bad one is line 20 001
+        if size:
+            monkeypatch.setattr(io, "READ_BLOCK", size)
+        values = make_generator("mt:seed=4").generate(30000)
+        lines = [f"{v!r}" for v in values.tolist()]
+        lines[19999] = line
+        path = tmp_path / "bad.txt"
+        path.write_text("# rngaudit-sample v1 x\n" + "\n".join(lines) + "\n")
+        assert path.stat().st_size > 2 * io.READ_BLOCK
+        with pytest.raises(ValueError) as exc:
+            load_sample(path)
+        kind = "not a number" if line == "x" else "outside [0, 1)"
+        assert str(exc.value) == f"{path}:20001: {kind}: {line!r}"
+
+    @pytest.mark.parametrize("size", [None, 3, 64])
+    @pytest.mark.parametrize("line, kind", [("0.2_5x", "not a number"),
+                                            ("0.99999999999999999", "outside [0, 1)")])
+    def test_a_bad_last_line_without_a_final_newline(self, line, kind, size, tmp_path,
+                                                      monkeypatch):
+        if size:
+            monkeypatch.setattr(io, "READ_BLOCK", size)
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0.5\n\n0.25\n{line}")
+        with pytest.raises(ValueError) as exc:
+            load_sample(path)
+        assert str(exc.value) == f"{path}:4: {kind}: {line!r}"
 
     def test_holds_the_values_and_a_block(self, tmp_path):
         n = 1 << 20
