@@ -248,11 +248,16 @@ def _merge_bins(counts: np.ndarray, expected: np.ndarray):
 
 def _duplicate_spacings(blocks: np.ndarray, k: int):
     """Per row of ``blocks`` (n values each, drawn into k cells): the count
-    of duplicated spacings Y and the count of cell collisions."""
+    of duplicated spacings Y and the count of cell collisions.  The cells
+    are 32-bit while k <= 2^31, half the bytes for the row sorts, and
+    64-bit above.  The cast before the clamp to k - 1 cannot overflow:
+    v * k for v in [0, 1) rounds to at most k, and is exact at k = 2^31.
+    """
     n = blocks.shape[1]
+    width = np.int32 if k <= 2**31 else np.int64
     y, collisions = [], []
     for rows in _row_blocks(blocks):
-        cells = np.minimum((rows * k).astype(np.int64), k - 1)
+        cells = np.minimum((rows * k).astype(width), k - 1)
         cells.sort(axis=1)
         spacings = np.diff(cells, axis=1)
         collisions.append((n - 1) - np.count_nonzero(spacings, axis=1))

@@ -473,35 +473,26 @@ def ks_test_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
     )
 
 
-def _sum_parts(x: np.ndarray) -> list[float]:
-    """Floats whose sum is that of x to about twice the working precision,
-    for ``math.fsum`` to add.
+def _split_sum(x: np.ndarray) -> list[float]:
+    """The exact sum of x's high parts and the rounded sum of its low
+    parts: two floats for ``math.fsum``.
 
-    A TwoSum cascade (Knuth's error-free addition): each level adds the two
-    halves of the array and keeps every rounding error.  The parts are the
-    error sums, each below one ulp of its partial sums, and the last
-    partial sum.  Their fsum is off by at most about eps^2 log2(n)^2 sum|x|:
-    within one ulp of the exact sum (and in practice the correctly rounded
-    one) while sum|x| / |sum x| stays below ~1e13.  For the
-    Anderson-Darling sum it is ~4n.
+    One error-free extraction (Rump, Ogita & Oishi 2008, ExtractVector).
+    With m values and 2^(e-1) <= max|x| < 2^e, sigma = 2^(e + bit_length(m))
+    is at least 2^ceil(log2(m + 1)) max|x|.  q = (x + sigma) - sigma
+    rounds x to a multiple of u sigma (u = 2^-53) with |q| <= 2^e, so
+    every partial sum of the q is such a multiple below sigma: numpy sums
+    them exactly in any order.  x - q is the rounding error of x + sigma,
+    exact and at most u sigma <= 4 u m max|x|; numpy's pairwise sum of
+    these errs by ~(log2(m) + 10) u sum|x - q|, about 1e-21 max|x| at
+    m = STAT_BLOCK.
     """
-    parts = []
-    z_buf = np.empty(x.size // 2)
-    e_buf = np.empty(x.size // 2)
-    while x.size > 1:
-        h = x.size // 2
-        if x.size % 2:
-            parts.append(float(x[-1]))
-        a, b = x[:h], x[h : 2 * h]
-        s = a + b
-        z = np.subtract(s, a, out=z_buf[:h])
-        e = np.subtract(s, z, out=e_buf[:h])
-        np.subtract(a, e, out=e)  # rounding error of s charged to a
-        np.subtract(b, z, out=z)  # and to b
-        parts += [float(e.sum()), float(z.sum())]
-        x = s
-    parts.extend(x.tolist())
-    return parts
+    sigma = math.ldexp(1.0, math.frexp(max(x.max(), -x.min()))[1] + x.size.bit_length())
+    high = x + sigma
+    high -= sigma
+    total = float(high.sum())
+    high -= x  # the low parts, negated
+    return [total, -float(high.sum())]
 
 
 def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -511,9 +502,11 @@ def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult
     Since |S| ~ n^2 while A^2 ~ 1, n^2 and the terms of S are summed
     exactly (to the last bit) before the single division, which leaves
     only the rounding of the logarithms: absolute error ~2e-14 at n = 1e5.
-    The terms are formed STAT_BLOCK at a time, and the TwoSum parts of
-    every block go into one ``math.fsum`` with n^2: a sum rounded per
-    block would be off by ~3e-10 at n = 1e6.  Values are clamped into
+    The terms are formed STAT_BLOCK at a time; ``_split_sum`` gives each
+    block's sum as an exact part and a part off by ~1e-21 of its largest
+    term, and all go into one ``math.fsum`` with n^2.  At n = 1e6 that
+    moves A^2 by below 5e-18; a sum rounded per block would move it by
+    ~3e-10.  Values are clamped into
     [_AD_CLAMP, 1 - _AD_CLAMP] before taking logs so that exact endpoint
     observations produce a huge statistic instead of an infinity.  The
     p-value is the asymptotic fully-specified-null one.
@@ -536,7 +529,7 @@ def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult
         np.log(body, out=body)
         body += upper
         body *= np.arange(2.0 * start + 1.0, 2.0 * stop, 2.0)  # 2i - 1
-        parts += _sum_parts(body)
+        parts += _split_sum(body)
     a2 = -math.fsum(parts) / n
     p = anderson_darling_sf(a2)
     detail = {"n": int(n)}

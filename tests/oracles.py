@@ -353,7 +353,7 @@ def load_sample_lines(path, header_prefix="# rngaudit-sample v1"):
     and '#' lines skipped anywhere, the last non-empty header wins."""
     provenance = "external file"
     values = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -374,7 +374,7 @@ def load_sample_lines(path, header_prefix="# rngaudit-sample v1"):
 def _bad_line(path) -> str | None:
     """The error for the first line of the file that is neither blank, a
     comment nor a number in [0, 1), if there is one."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line and not line.startswith("#"):
@@ -396,7 +396,7 @@ def whole_file_load_sample(path):
     from rngaudit.io import READ_WIDTH, SAMPLE_HEADER_PREFIX, TEXT_BLOCK, _read_rows
 
     provenance, inline, nul = "external file", False, False
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     nul = "\0" in text
     at = text.find("#")
@@ -416,11 +416,12 @@ def whole_file_load_sample(path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file without values
             rows = np.loadtxt(path, dtype=np.float64 if nul else f"S{READ_WIDTH}",
-                              comments="#", ndmin=2)
+                              comments="#", ndmin=2, encoding="utf-8")
             if rows.shape[1] > 1:
                 raise ValueError("more than one value on a line")
             if not nul and rows.view(np.uint8)[:, -1].any():
-                rows = np.loadtxt(path, dtype=np.float64, comments="#", ndmin=2)
+                rows = np.loadtxt(path, dtype=np.float64, comments="#", ndmin=2,
+                                  encoding="utf-8")
         if rows.dtype == np.float64:
             return Sample(rows[:, 0], provenance=provenance)
         rows = rows.view(np.uint8)

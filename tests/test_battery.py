@@ -490,11 +490,17 @@ class TestStatBlocks:
             serial_test(boundary_values, d, l)
         assert gof.call_args.args[0].tolist() == serial_counts(boundary_values, d, l).tolist()
 
-    @pytest.mark.parametrize("n, k", [(512, 2**24), (500, 2**22)])
+    # the cells are 32-bit up to k = 2^31 and 64-bit above
+    @pytest.mark.parametrize("n, k", [(512, 2**24), (500, 2**22), (512, 2**31 - 1), (512, 2**31),
+                                      (512, 2**31 + 1), (512, 2**40)])
     def test_duplicate_spacings_match_the_unblocked_formula(self, boundary_values, n, k):
         rows = boundary_values.size // n
-        got = battery._duplicate_spacings(boundary_values[:rows * n].reshape(rows, n), k)
-        want = duplicate_spacings(boundary_values, n, k)
+        v = boundary_values[:rows * n].copy()
+        # the lowest and the highest value in a row, whose cells are 0 and
+        # k - 1 and whose spacing is the widest, in the first row and the last
+        v[[5, 7, -n, -1]] = [0.0, 1.0 - 2.0**-53, 0.0, 1.0 - 2.0**-53]
+        got = battery._duplicate_spacings(v.reshape(rows, n), k)
+        want = duplicate_spacings(v, n, k)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
     def test_records_equal_those_of_one_block(self, boundary_values, monkeypatch):

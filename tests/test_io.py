@@ -41,7 +41,7 @@ class TestAtomicFiles:
     def test_error_while_writing_keeps_old_targets(self, tmp_path):
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
         for p in paths:
-            p.write_text("old\n")
+            p.write_text("old\n", encoding="utf-8")
         with pytest.raises(RuntimeError):
             with atomic_files(paths) as (a, b):
                 a.write("new\n")
@@ -77,7 +77,7 @@ class TestAtomicFiles:
     def test_existing_temp_name_is_left_alone(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "urandom", bytes)
         taken = tmp_path / (".rngaudit-tmp-" + bytes(8).hex())
-        taken.write_text("not ours\n")
+        taken.write_text("not ours\n", encoding="utf-8")
         with pytest.raises(FileExistsError):
             atomic_write_text(tmp_path / "s.txt", "text\n")
         assert taken.read_text() == "not ours\n"
@@ -201,7 +201,7 @@ def assert_round_trip(values, path):
 
 def assert_reads_as_float(texts, path):
     """A file of these value texts reads as float() of each."""
-    path.write_text("".join(f"{t}\n" for t in texts))
+    path.write_text("".join(f"{t}\n" for t in texts), encoding="utf-8")
     want = np.array([float(t) for t in texts])
     got = load_sample(path).values
     bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
@@ -230,7 +230,8 @@ class TestLoadSample:
         below_one = np.float64(1.0).view(np.uint64) - 1
         inside = bit_patterns(np.float64(1e-4).view(np.uint64), below_one, 1 << 20, seed=3)
         assert_round_trip(inside, tmp_path / "in.txt")
-        # mostly far below 1e-4: numpy's own parser, in the same file
+        # mostly far below 1e-4, which float reads, in the same file as the
+        # values the exact kernel reads
         assert_round_trip(bit_patterns(0, below_one, 1 << 18, seed=4), tmp_path / "all.txt")
 
     def test_neighbours_of_the_decimal_edges_and_powers_of_two(self, tmp_path):
@@ -300,7 +301,7 @@ class TestLoadSample:
                                       "0.1234567890:", "0.12345678901234/5", "0.25\x01"])
     def test_non_ascii_nul_or_non_digit_line_is_named(self, tmp_path, line):
         path = tmp_path / "bad.txt"
-        path.write_text(f"# rngaudit-sample v1 mt:seed=1\n0.25\n{line}\n0.5\n")
+        path.write_text(f"# rngaudit-sample v1 mt:seed=1\n0.25\n{line}\n0.5\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             load_sample(path)
         assert str(exc.value) == f"{path}:3: not a number: {line!r}"
@@ -309,7 +310,7 @@ class TestLoadSample:
     def test_a_value_outside_0_1_is_named(self, tmp_path, line):
         # 0.99999999999999999 is a valid text that rounds up to 1.0
         path = tmp_path / "bad.txt"
-        path.write_text(f"# rngaudit-sample v1 mt:seed=1\n0.25\n\n{line}\n0.5\n")
+        path.write_text(f"# rngaudit-sample v1 mt:seed=1\n0.25\n\n{line}\n0.5\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             load_sample(path)
         assert str(exc.value) == f"{path}:4: outside [0, 1): {line!r}"
@@ -331,9 +332,9 @@ class TestLoadSample:
     def test_the_grammar_is_floats(self, tmp_path):
         # numpy's parser rejected these, and named no line of the file
         path = tmp_path / "s.txt"
-        path.write_text("# rngaudit-sample v1 x\n0.5\n 0.25\n5e-05\n0.2_5\n")
+        path.write_text("# rngaudit-sample v1 x\n0.5\n 0.25\n5e-05\n0.2_5\n", encoding="utf-8")
         assert load_sample(path).values.tolist() == [0.5, 0.25, 5e-05, 0.25]
-        path.write_text("# rngaudit-sample v1 x\n0.5\n 0.25\n5e-05\n0.2_5x\n")
+        path.write_text("# rngaudit-sample v1 x\n0.5\n 0.25\n5e-05\n0.2_5x\n", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             load_sample(path)
         assert str(exc.value) == f"{path}:5: not a number: '0.2_5x'"
@@ -342,7 +343,7 @@ class TestLoadSample:
 
     def test_an_error_opens_the_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "bad.txt"
-        path.write_text("0.5\n0.25\nx\n0.125\n")
+        path.write_text("0.5\n0.25\nx\n0.125\n", encoding="utf-8")
         opened = []
 
         def counting_open(*args, **kwargs):
@@ -375,7 +376,9 @@ class TestLoadSample:
         assert written == "# rngaudit-sample v1 caf\u00e9\n0.25\n".encode()
 
     def test_reads_without_the_numpy_2_strings_namespace(self, tmp_path, monkeypatch):
-        # the declared floor is numpy 1.24, which has no numpy.strings
+        # the declared floor is numpy 1.24, which has no numpy.strings; the
+        # reader uses none of it, and a file of three text blocks still reads
+        # back bit for bit with the namespace gone
         x = np.random.default_rng(20).random(3 * TEXT_BLOCK)
         path = tmp_path / "s.txt"
         save_sample(Sample(x, provenance="t"), path)
@@ -485,7 +488,8 @@ class TestReadInBlocks:
     def test_the_first_bad_line_of_a_block_wins(self, first, second, error, tmp_path):
         # the kernel reads 0.99999999999999999 and rounds it up to 1.0
         path = tmp_path / "bad.txt"
-        path.write_text(f"# rngaudit-sample v1 x\n0.5\n{first}\n0.25\n{second}\n0.125\n")
+        path.write_text(f"# rngaudit-sample v1 x\n0.5\n{first}\n0.25\n{second}\n0.125\n",
+                        encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             load_sample(path)
         assert str(exc.value) == f"{path}:3: {error}"
@@ -501,7 +505,7 @@ class TestReadInBlocks:
         lines = [f"{v!r}" for v in values.tolist()]
         lines[19999] = line
         path = tmp_path / "bad.txt"
-        path.write_text("# rngaudit-sample v1 x\n" + "\n".join(lines) + "\n")
+        path.write_text("# rngaudit-sample v1 x\n" + "\n".join(lines) + "\n", encoding="utf-8")
         assert path.stat().st_size > 2 * io.READ_BLOCK
         with pytest.raises(ValueError) as exc:
             load_sample(path)
@@ -516,7 +520,7 @@ class TestReadInBlocks:
         if size:
             monkeypatch.setattr(io, "READ_BLOCK", size)
         path = tmp_path / "bad.txt"
-        path.write_text(f"0.5\n\n0.25\n{line}")
+        path.write_text(f"0.5\n\n0.25\n{line}", encoding="utf-8")
         with pytest.raises(ValueError) as exc:
             load_sample(path)
         assert str(exc.value) == f"{path}:4: {kind}: {line!r}"

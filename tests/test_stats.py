@@ -8,11 +8,12 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from rngaudit.stats import (
+    STAT_BLOCK,
     TestResult as ResultRecord,
     _betacf,
     _gamma_q_contfrac,
     _log_gamma_prefactor,
-    _sum_parts,
+    _split_sum,
     anderson_darling_sf,
     anderson_darling_uniform,
     betainc_reg,
@@ -309,13 +310,13 @@ class TestAndersonDarling:
             ), s.size
 
     def test_exact_sum_is_correctly_rounded(self):
-        assert math.fsum(_sum_parts(np.array([1e16, 1.0, 3.0, -1e16]))) == 4.0
+        assert math.fsum(_split_sum(np.array([1e16, 1.0, 3.0, -1e16]))) == 4.0
         # n^2 and the terms of S, the sum the statistic divides by n
         v = np.sort(make_generator("mt:seed=1").sample(100_000).values)
         i = np.arange(1, v.size + 1)
         terms = (2.0 * i - 1.0) * (np.log(v) + np.log1p(-v[::-1]))
         x = np.concatenate(([float(v.size) ** 2], terms))
-        assert math.fsum(_sum_parts(x)) == math.fsum(x.tolist())
+        assert math.fsum(_split_sum(x)) == math.fsum(x.tolist())
 
     def test_endpoint_values_clamped(self):
         vals = np.array([0.0, 0.25, 0.5, 0.75, 0.999])
@@ -325,6 +326,56 @@ class TestAndersonDarling:
     def test_detects_clustered_sample(self):
         vals = np.clip(np.random.default_rng(3).normal(0.5, 0.05, 1000), 0.001, 0.999)
         assert anderson_darling_uniform(vals).verdict == "reject"
+
+
+class TestSplitSum:
+    """The two parts of a block that the Anderson-Darling sum adds in
+    ``math.fsum``: their sum must round as the block's exact sum does."""
+
+    def test_all_zero_block(self):
+        assert _split_sum(np.zeros(STAT_BLOCK)) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("x", [0.5, -3.0, 1e300, -5e-324, -27.631021115928547, 2.0**52 + 1])
+    def test_a_single_value(self, x):
+        assert math.fsum(_split_sum(np.array([x]))) == x
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 129, 1001, STAT_BLOCK - 1])
+    def test_odd_sizes(self, m):
+        x = np.random.default_rng(m).standard_normal(m) * 1e6
+        assert math.fsum(_split_sum(x)) == math.fsum(x.tolist())
+
+    @pytest.mark.parametrize("x, total", [
+        ([1e16, 1.0, 3.0, -1e16], 4.0),  # a plain sum gets this one right by luck
+        ([1e16, 1.0, -1e16, 1.0, 2.0**-30], 2.0 + 2.0**-30),
+    ])
+    def test_cancellation(self, x, total):
+        assert math.fsum(_split_sum(np.array(x))) == total
+
+    @pytest.mark.parametrize("start", [0, 10**6 - STAT_BLOCK])
+    @pytest.mark.parametrize("term", [
+        math.log(1e-12) + math.log1p(-1e-12),  # a sample of zeros: about -27.6
+        2.0 * math.log(1e-12),  # zeros below, 1 - 2^-53 above: about -55.3
+    ])
+    def test_a_block_of_clamped_terms(self, start, term):
+        # the values clamped to 1e-12 or 1 - 1e-12: (2i - 1) times one term
+        i = np.arange(start + 1, start + STAT_BLOCK + 1, dtype=np.float64)
+        x = (2.0 * i - 1.0) * term
+        assert math.fsum(_split_sum(x)) == math.fsum(x.tolist())
+
+    def test_leaves_its_input_alone(self):
+        x = np.random.default_rng(1).random(1000) - 0.5
+        before = x.copy()
+        _split_sum(x)
+        assert x.tolist() == before.tolist()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_signed_blocks_sum_as_fsum(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, STAT_BLOCK + 1))
+        # magnitudes over up to 40 binades, all of one sign
+        x = rng.random(m) * 2.0 ** rng.integers(-20, 20, size=m)
+        x *= 10.0 ** rng.integers(-8, 9) * (1 if seed % 2 else -1)
+        assert math.fsum(_split_sum(x)) == math.fsum(x.tolist())
 
 
 class TestSortedInput:
