@@ -48,6 +48,8 @@ TERMINATOR = 24
 _FRACTION = (1 << 52) - 1
 _POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
 _POW10 = np.array([10**k for k in range(17)], dtype=np.int64)
+# 10**k as doubles, exact for k <= 22
+_TEN = np.array([float(10**k) for k in range(21)])
 # the four ASCII digits of 0..9999, each as the uint32 word it fills in a row
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                     axis=-1).reshape(-1, 4).view(np.uint32)[:, 0]
@@ -124,12 +126,15 @@ def repr_rows(values) -> np.ndarray:
     string that reads back as the value, the nearest such one (Gay's
     correctly rounded shortest ``repr``).  They are formatted here in
     exact 64-bit integer arithmetic, as in Ryu (Adams 2018).  With
-    x = m * 2**-s and t = 17 + zeros, x * 10**t = m * 5**t / 2**(s - t):
-    a 17-digit integer ``scaled`` and a remainder, from one 128-bit
-    product.  The numbers that read back as x lie within half an ulp of
-    it: in units of 10**-t the integers lo_end..hi_end.  The digits are
-    those of the multiple of the largest power of ten 10**j in that range,
-    the one nearer x, a tie going to the even one.  Every other value (0,
+    x = m * 2**-s and t = 17 + zeros, y = x * 10**t = m * 5**t / 2**(s - t)
+    is in [10**16, 10**17) and s - t <= 46, so q0 = fl(x * 10**t) (10**t
+    is exact) is an even integer with |q0 - y| <= 8, and the remainder
+    r = m * 5**t - q0 * 2**(s - t), |r| < 2**50, is exact in wrapping 64-bit
+    arithmetic: q0 + (r >> (s - t)) is the 17-digit integer ``scaled``.
+    The numbers that read back as x lie within half an ulp of it: in
+    units of 10**-t the integers lo_end..hi_end.  The digits are those of
+    the multiple of the largest power of ten 10**j in that range, the one
+    nearer x, a tie going to the even one.  Every other value (0,
     negative, >= 1 or < 1e-4, NaN, inf: about 1e-4 of a uniform sample)
     gets ``repr`` itself.
 
@@ -148,24 +153,21 @@ def repr_rows(values) -> np.ndarray:
     zeros = (xs < 0.1).view(np.int8) + (xs < 0.01).view(np.int8) + (xs < 0.001).view(np.int8)
     t = zeros + 17
     shift = 1075 - (bits >> 52) - t.astype(np.uint64)
-    # m * 5**t < 2**100 as hi * 2**64 + lo, from 32-bit halves
+    q0 = (xs * _TEN[t]).astype(np.int64)
     p5 = _POW5[t]
-    mh, ml, ph, pl = m >> 32, m & 0xFFFFFFFF, p5 >> 32, p5 & 0xFFFFFFFF
-    cross = mh * pl + ml * ph
-    low = ml * pl
-    lo = low + (cross << 32)
-    hi = mh * ph + (cross >> 32) + (lo < low)
-    scaled = ((hi << (64 - shift)) | (lo >> shift)).view(np.int64)
-    # the remainder and half an ulp (5**t / 2) in units of 2**-(shift + 2)
-    rem = (lo & ((np.uint64(1) << shift) - 1)).view(np.int64) << 2
-    half, sh = 2 * p5.view(np.int64), shift.view(np.int64) + 2
+    r = (m * p5 - (q0.view(np.uint64) << shift)).view(np.int64)
+    sh = shift.view(np.int64)
+    scaled = q0 + (r >> sh)
+    # the fraction and half an ulp (5**t / 2) in units of 2**-(shift + 2)
+    rem = (r & ((1 << sh) - 1)) << 2
+    half, sh = 2 * p5.view(np.int64), sh + 2
     lo_end = scaled - ((half - rem) >> sh)
     hi_end = scaled + ((half + rem) >> sh)
     # j: the largest power of ten with a multiple in lo_end..hi_end; few
-    # values keep going past 10**2, so each pass looks at those left only
-    j = np.zeros(scaled.size, np.int64)
-    left = np.arange(scaled.size)
-    for k in range(1, 17):
+    # values keep going past 10**2, so later passes look at those left only
+    j = (hi_end // 10 * 10 >= lo_end).view(np.int8).astype(np.int64)
+    left = np.flatnonzero(j)
+    for k in range(2, 17):
         left = left[hi_end[left] // _POW10[k] * _POW10[k] >= lo_end[left]]
         if not left.size:
             break
@@ -180,11 +182,16 @@ def repr_rows(values) -> np.ndarray:
     digits = below + up * p10
     lead = digits // 10**16
     digits -= lead * 10**16
+    high = digits // 10**8
+    digits -= high * 10**8
     rows = np.empty((x.size, REPR_WIDTH), np.uint8)
     words, quads = rows.view(np.uint64), rows.view(np.uint32)
     words[:, 0] = _PREFIX[zeros * 10 + lead]
-    for col, scale in zip(range(2, 6), (10**12, 10**8, 10**4, 1)):
-        quads[:, col] = _DIGITS4[digits // scale % 10**4]
+    # h // 10**4 as (h * 109951163) >> 40, exact for h < 10**8
+    for col, h in ((2, high), (4, digits)):
+        top = (h * 109951163) >> 40
+        quads[:, col] = _DIGITS4[top]
+        quads[:, col + 1] = _DIGITS4[h - top * 10**4]
     words[:, 1] &= _TAIL[0][j]
     words[:, 2] &= _TAIL[1][j]
     words[:, 3] = 0

@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .generators import LcgParams
-from .io import TEXT_BLOCK, atomic_files, atomic_write_text, join_rows, repr_rows
+from .io import REPR_WIDTH, TEXT_BLOCK, atomic_files, atomic_write_text, join_rows, repr_rows
 from .stats import TestResult, _values
 
 __all__ = [
@@ -327,33 +328,46 @@ def export_cloud_csv(clouds, paths) -> int:
     ``clouds`` and ``paths`` are one cloud and one path, or equal-length
     lists of them; a cloud is a 2-D float64 array.  Each cell is ``repr``
     of its value.  The files are written together, TEXT_BLOCK rows of
-    every cloud at a time: clouds of one sample hold each value in
-    several cells, so each block formats the distinct values of all its
-    clouds once (``repr_rows``), keyed by their bits (``-0.0`` and
-    ``0.0``, or two NaNs, keep their own text), and gathers every file's
-    cells from those rows.  Each file appears whole or not at all.
+    every cloud at a time.  A window of an array (``point_cloud``, thinned
+    or not) with row stride k <= d holds value r * k + c in cell (r, c);
+    the windows with one start and one k share their values, and any
+    other cloud is read as its own window with k = d.  So each block puts
+    every value its windows hold into one array once, formats it
+    (``repr_rows``), and takes each file's cells from the text at
+    r * k + c: no value is formatted twice and nothing is sorted.  Each
+    file appears whole or not at all.
     """
     if isinstance(clouds, np.ndarray):
         clouds, paths = [clouds], [paths]
     if len(clouds) != len(paths):
         raise ValueError("need one path per cloud")
-    # the cells are keyed by the bits of their float64 values
     if not all(isinstance(c, np.ndarray) and c.ndim == 2 and c.dtype == np.float64
                for c in clouds):
         raise ValueError("each cloud must be a 2-D float64 array")
+    groups = {}  # windows by (start, row stride), other clouds by index: k, clouds
+    for i, cloud in enumerate(clouds):
+        step, col = cloud.strides
+        window = col == 8 and step % 8 == 0 and 0 < step <= 8 * cloud.shape[1]
+        key = (cloud.__array_interface__["data"][0], step) if window else i
+        groups.setdefault(key, (step // 8 if window else cloud.shape[1], []))[1].append(i)
     rows = max((len(c) for c in clouds), default=0)
     with atomic_files(paths) as handles:
         for fh, cloud in zip(handles, clouds):
             fh.write(",".join(f"x{i + 1}" for i in range(cloud.shape[1])) + "\n")
         for start in range(0, rows, TEXT_BLOCK):
-            blocks = [c[start:start + TEXT_BLOCK] for c in clouds]
-            cells = np.concatenate([b.reshape(-1) for b in blocks])
-            bits, index = np.unique(cells.view(np.uint64), return_inverse=True)
-            text = repr_rows(bits.view(np.float64))
-            end = 0
-            for fh, block in zip(handles, blocks):
-                fh.write(join_rows(text[index[end:end + block.size]], block.shape[1]))
-                end += block.size
+            for k, members in groups.values():
+                blocks = [(i, clouds[i][start:start + TEXT_BLOCK]) for i in members
+                          if len(clouds[i]) > start]
+                if not blocks:
+                    continue
+                values = np.zeros(max((len(b) - 1) * k + b.shape[1] for _, b in blocks))
+                for _, b in blocks:
+                    as_strided(values, b.shape, (8 * k, 8))[...] = b
+                text = repr_rows(values)
+                for i, b in blocks:
+                    cells = as_strided(text, (*b.shape, REPR_WIDTH),
+                                       (k * REPR_WIDTH, REPR_WIDTH, 1))
+                    handles[i].write(join_rows(cells.reshape(-1, REPR_WIDTH), b.shape[1]))
     return sum(len(c) for c in clouds)
 
 

@@ -149,6 +149,18 @@ class TestReprText:
         bits = np.float64(edge).view(np.uint64) + np.arange(-2000, 2001).astype(np.uint64)
         assert_repr_text(bits.view(np.float64))
 
+    def test_ends_of_binades_and_near_decimal_edges(self):
+        # the seed fl(x * 10**t) is off by up to 8 where x * 10**t nears
+        # 10**17, just below each decimal edge, and each binade has its own
+        # shift s - t: the first and last 2**10 significands of every binade
+        # from 2**-14 to 2**-1, and 64 ulps either side of each edge
+        ends = np.concatenate([np.arange(1 << 10), np.arange((1 << 52) - (1 << 10), 1 << 52)])
+        binades = [np.float64(2.0**b).view(np.uint64) + ends.astype(np.uint64)
+                   for b in range(-14, 0)]
+        edges = [np.float64(e).view(np.uint64) + np.arange(-64, 65).astype(np.uint64)
+                 for e in (0.1, 0.01, 0.001, 1e-4, 1 - 2.0**-53)]
+        assert_repr_text(np.concatenate(binades + edges).view(np.float64))
+
     def test_powers_of_two_and_short_decimals(self):
         assert_repr_text(2.0 ** -np.arange(1075))
         assert_repr_text([k / 10**d for d in range(1, 9) for k in range(1, min(10**d, 10**4))])
@@ -376,9 +388,8 @@ class TestLoadSample:
         assert written == "# rngaudit-sample v1 caf\u00e9\n0.25\n".encode()
 
     def test_reads_without_the_numpy_2_strings_namespace(self, tmp_path, monkeypatch):
-        # the declared floor is numpy 1.24, which has no numpy.strings; the
-        # reader uses none of it, and a file of three text blocks still reads
-        # back bit for bit with the namespace gone
+        # the reader uses nothing of numpy.strings: a file of three text
+        # blocks still reads back bit for bit with the namespace gone
         x = np.random.default_rng(20).random(3 * TEXT_BLOCK)
         path = tmp_path / "s.txt"
         save_sample(Sample(x, provenance="t"), path)

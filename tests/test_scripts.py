@@ -39,6 +39,9 @@ def test_reproduce_figures(tmp_path):
     out = run_script("reproduce_figures.py", "-n", "4096", "--out-dir", str(tmp_path))
     assert "overall: reject" in out and "overall: accept" in out
     assert len(list(tmp_path.glob("*.csv"))) == 4
+    # a header and 4095 pairs or 4094 triples of each 4096-value sample
+    lines = sorted(len(p.read_text().splitlines()) for p in tmp_path.glob("*.csv"))
+    assert lines == [4095, 4095, 4096, 4096]
     assert len(list(tmp_path.glob("*.svg"))) == 2
 
 

@@ -474,18 +474,21 @@ class TestExports:
         assert (tmp_path / "s.txt").read_text() == "\n".join(lines) + "\n"
 
     @given(pool=st.lists(CLOUD_VALUES, min_size=1, max_size=12),
-           specs=st.lists(st.tuples(st.sampled_from(["window", "thinned", "free"]),
+           specs=st.lists(st.tuples(st.sampled_from(["window", "thinned", "strided", "free"]),
                                     st.sampled_from([2, 3]), st.integers(1, 4200),
                                     st.integers(0, 2)), min_size=1, max_size=3),
            seed=st.integers(0, 2**32 - 1))
     @example(pool=[0.0, -0.0], specs=[("window", 2, 4100, 0)], seed=1)
     @example(pool=[0.0, -0.0, 0.5], specs=[("window", 2, 4100, 0), ("window", 3, 4099, 0),
                                           ("free", 3, 7, 0)], seed=2)
+    @example(pool=[0.25, math.nan, 1e-05], specs=[("strided", 2, 4100, 1), ("strided", 3, 4099, 1),
+                                                 ("strided", 3, 4097, 2)], seed=3)
     @settings(max_examples=60, deadline=None)
     def test_csv_equals_per_element_repr(self, pool, specs, seed, tmp_path_factory):
         # one call writes up to three clouds of different kinds and lengths,
         # all drawn from a few values again and again, so cells repeat within
-        # blocks, across clouds and across the 4096-row block edge
+        # blocks, across clouds and across the 4096-row block edge; windows
+        # of one array with one row stride are written from one text
         rng = np.random.default_rng(seed)
         draw = np.array(pool)[rng.integers(len(pool), size=3 * 4200)]
         clouds = []
@@ -495,7 +498,10 @@ class TestExports:
             elif kind == "thinned":  # stride >= d: no value shared between rows
                 clouds.append(point_cloud(draw[:rows + d - 1], d,
                                           cap=max(1, rows // (d + stride))))
-            else:  # a hand-built cloud that is no window
+            elif kind == "strided":  # every k-th window, k = 1..3: k = 2 < d = 3 shares
+                k = stride + 1
+                clouds.append(point_cloud(draw[:(rows - 1) * k + d], d)[::k])
+            else:  # a hand-built contiguous cloud: a window with k = d
                 clouds.append(draw[:rows * d].reshape(rows, d))
         out = tmp_path_factory.mktemp("csv")
         paths = [out / f"c{i}.csv" for i in range(len(clouds))]
@@ -517,8 +523,9 @@ class TestExports:
         cells = [-0.0, 0.0, math.nan, -math.nan, -0.5, -3.0, 1.0, 2.5, 1e16, 1e22,
                  5e-324, 1e-05, 9.999999999999999e-05, 0.0001, 0.5, 0.3]
         values = np.array(cells * 3)
-        clouds = [values.reshape(-1, 2), point_cloud(values, 3)]
-        paths = [tmp_path / "p.csv", tmp_path / "t.csv"]
+        clouds = [values.reshape(-1, 2), point_cloud(values, 3), point_cloud(values, 3)[::2],
+                  point_cloud(values, 2)[::5], values.reshape(2, -1).T]
+        paths = [tmp_path / f"c{i}.csv" for i in range(len(clouds))]
         export_cloud_csv(clouds, paths)
         for cloud, path in zip(clouds, paths):
             lines = path.read_text().splitlines()[1:]
@@ -531,10 +538,17 @@ class TestExports:
             export_cloud_csv([cloud, cloud], [tmp_path / "a.csv"])
         assert os.listdir(tmp_path) == []
 
+    def test_csv_error_leaves_no_file(self, tmp_path):
+        values = make_generator("mt:seed=3").sample(3 * 4096)
+        clouds = [point_cloud(values, 2), point_cloud(values, 3)]
+        with pytest.raises(FileNotFoundError):
+            export_cloud_csv(clouds, [tmp_path / "p.csv", tmp_path / "no" / "t.csv"])
+        assert os.listdir(tmp_path) == []
+
     def test_csv_memory_stays_per_block(self, tmp_path):
-        # formatting the whole clouds' distinct values at once would hold
-        # megabytes of inverse indices and strings; the figures call writes
-        # the pairs and triples of one 2**18-value sample together
+        # formatting whole clouds at once would hold megabytes of text rows
+        # and strings; the figures call writes the pairs and triples of one
+        # 2**18-value sample together
         values = make_generator("lcg:m=262144,a=4649,c=819,seed=1").sample(2**18 + 2)
         pairs, triples = point_cloud(values, 2), point_cloud(values, 3)
         assert (len(pairs), len(triples)) == (2**18 + 1, 2**18)
