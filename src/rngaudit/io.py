@@ -27,7 +27,9 @@ __all__ = [
     "atomic_files",
     "atomic_write_text",
     "repr_rows",
+    "repr_cells",
     "join_rows",
+    "rows_text",
     "repr_text",
     "sample_lines",
     "save_sample",
@@ -197,9 +199,16 @@ def repr_rows(values) -> np.ndarray:
     words[:, 3] = 0
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = "".join([f"{v!r:\0<{TERMINATOR}}" for v in x[slow].tolist()])
-        rows[slow, :TERMINATOR] = np.frombuffer(text.encode(), np.uint8).reshape(-1, TERMINATOR)
+        rows[slow, :TERMINATOR] = repr_cells(x[slow])
     return rows
+
+
+def repr_cells(values) -> np.ndarray:
+    """``repr`` of each value of a float64 array, padded with NULs to
+    TERMINATOR bytes (the longest ``repr`` of a float64), as the rows of
+    an (n, TERMINATOR) uint8 array; one Python ``repr`` a value."""
+    text = "".join([f"{v!r:\0<{TERMINATOR}}" for v in values.tolist()])
+    return np.frombuffer(text.encode(), np.uint8).reshape(-1, TERMINATOR)
 
 
 def join_rows(rows: np.ndarray, width: int = 1) -> str:
@@ -208,6 +217,12 @@ def join_rows(rows: np.ndarray, width: int = 1) -> str:
     terminators into ``rows``."""
     rows[:, TERMINATOR] = ord(",")
     rows[width - 1::width, TERMINATOR] = ord("\n")
+    return rows_text(rows)
+
+
+def rows_text(rows: np.ndarray) -> str:
+    """The ASCII text of NUL-padded uint8 rows: every byte but the NULs,
+    row after row."""
     return rows[rows != 0].tobytes().decode("ascii")
 
 

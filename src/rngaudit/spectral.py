@@ -26,7 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .generators import LcgParams
-from .io import REPR_WIDTH, TEXT_BLOCK, atomic_files, atomic_write_text, join_rows, repr_rows
+from .io import (REPR_WIDTH, TERMINATOR, TEXT_BLOCK, atomic_files, atomic_write_text, join_rows,
+                 repr_cells, repr_rows, rows_text)
 from .stats import TestResult, _values
 
 __all__ = [
@@ -373,13 +374,66 @@ def export_cloud_csv(clouds, paths) -> int:
 
 SVG_SIZE = 800
 SVG_MAX_POINTS = 32768
+# One circle of the SVG as a row of bytes: its fixed text with NULs after
+# each piece, and a cell of TERMINATOR bytes at 16 and at 48 for each
+# coordinate's text, padded with NULs.
+_CIRCLE = np.frombuffer(b"".join([b'<circle cx="'.ljust(16, b"\0"), bytes(TERMINATOR),
+                                  b'" cy="'.ljust(8, b"\0"), bytes(TERMINATOR),
+                                  b'" r="1" fill="black"/>\n'.ljust(24, b"\0")]), np.uint8)
+_CELL_AT, _CELL_STEP = 16, 32
+# The first two 4-byte words of the cell of k hundredths, k = 0..100 * SVG_SIZE:
+# the units of k // 100 and the point ("800."), then k % 100 with its
+# trailing zero dropped ("5" for 50, "05" for 5, "0" for 0).
+_UNITS = np.frombuffer(b"".join(f"{q}.".encode().ljust(4, b"\0") for q in range(SVG_SIZE + 1)),
+                       np.uint32)
+_HUNDREDTHS = np.frombuffer(b"".join((f"{r:02d}".rstrip("0") or "0").encode().ljust(4, b"\0")
+                                     for r in range(100)), np.uint32)
+
+
+def _circle_rows(points: np.ndarray) -> np.ndarray:
+    """The circles of an (n, 2) block of points as (n, _CIRCLE.size) rows.
+
+    Each coordinate c (x * SVG_SIZE, and SVG_SIZE - y * SVG_SIZE) is
+    rounded as ``np.round(c, 2)`` rounds it: k = rint(c * 100), then
+    k / 100.  Its text is ``repr(k / 100)``.  A k in 0..100 * SVG_SIZE
+    with its sign bit clear takes the text from its digits, k // 100, a
+    point and k % 100 with its trailing zero dropped, which is that
+    ``repr``; every other coordinate (-0.0, a negative, NaN, inf, a
+    value above SVG_SIZE) gets ``repr`` itself.
+    """
+    n = len(points)
+    rows = np.empty((n, _CIRCLE.size), np.uint8)
+    rows[:] = _CIRCLE
+    cells = as_strided(rows[:, _CELL_AT:], (n, 2, TERMINATOR), (_CIRCLE.size, _CELL_STEP, 1))
+    k = np.empty((n, 2))
+    np.multiply(points[:, 0], SVG_SIZE, out=k[:, 0])
+    np.subtract(SVG_SIZE, points[:, 1] * SVG_SIZE, out=k[:, 1])
+    k *= 100.0
+    np.rint(k, out=k)
+    digits = (k <= 100 * SVG_SIZE) & ~np.signbit(k)
+    hundredths = np.where(digits, k, 0.0)
+    units = np.floor(hundredths / 100.0)  # exact: k is an integer
+    hundredths -= 100.0 * units
+    words = cells[:, :, :8].view(np.uint32)
+    words[:, :, 0] = _UNITS[units.astype(np.intp)]
+    words[:, :, 1] = _HUNDREDTHS[hundredths.astype(np.intp)]
+    slow = np.nonzero(~digits)
+    if slow[0].size:
+        cells[slow] = repr_cells(k[slow] / 100.0)
+    return rows
 
 
 def export_cloud_svg(cloud: np.ndarray, path) -> int:
     """Scatter a 2-D cloud into an 800x800 SVG; returns the points drawn.
 
     Clouds larger than ``SVG_MAX_POINTS`` are thinned by stride sampling
-    so the file stays viewable.
+    so the file stays viewable.  Each point is one ``<circle>`` whose cx
+    and cy are ``repr`` of x * 800 and 800 - y * 800 rounded to two
+    places by numpy's rule (scale by 100, rint, unscale), not by Python's
+    correctly rounded ``round()``.  TEXT_BLOCK circles at a time become
+    byte rows (``_circle_rows``) and the text of the rows without their
+    NULs (``rows_text``): a coordinate in [0, 800] takes its text from
+    its digits, any other gets ``repr``.
     """
     if cloud.shape[1:] != (2,):
         raise ValueError("SVG export is 2-D only")
@@ -390,12 +444,7 @@ def export_cloud_svg(cloud: np.ndarray, path) -> int:
         yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
                f'viewBox="0 0 {s} {s}">\n<rect width="{s}" height="{s}" fill="white"/>\n')
         for start in range(0, len(pts), TEXT_BLOCK):
-            block = pts[start:start + TEXT_BLOCK]
-            # numpy's rounding (scale, rint, unscale), not Python's correctly rounded round()
-            cxs = np.round(block[:, 0] * s, 2).tolist()
-            cys = np.round(s - block[:, 1] * s, 2).tolist()
-            yield "".join([f'<circle cx="{cx}" cy="{cy}" r="1" fill="black"/>\n'
-                           for cx, cy in zip(cxs, cys)])
+            yield rows_text(_circle_rows(pts[start:start + TEXT_BLOCK]))
         yield "</svg>\n"
 
     atomic_write_text(path, chunks())

@@ -158,6 +158,32 @@ def lcg_sequence(m, a, c, seed, n):
     return out
 
 
+def first_line_apart(got: str, want: str):
+    """The first line where two texts differ, as (index, got, want), or
+    None when they are equal: a failing comparison of two long files
+    shows this line instead of a diff that pytest would take minutes to
+    build."""
+    got, want = got.split("\n"), want.split("\n")
+    apart = next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    if apart is None and len(got) != len(want):
+        i = min(len(got), len(want))
+        return i, got[i:i + 1], want[i:i + 1]
+    return apart
+
+
+SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+            'viewBox="0 0 800 800">\n<rect width="800" height="800" fill="white"/>\n')
+
+
+def svg_circles(points):
+    """The <circle> lines of an 800x800 SVG of (x, y) points, each
+    coordinate formatted on its own: ``repr`` of numpy's two-place
+    rounding (scale, rint, unscale) of x * 800 and of 800 - y * 800."""
+    return [f'<circle cx="{float(np.round(x * 800, 2))!r}" '
+            f'cy="{float(np.round(800 - y * 800, 2))!r}" r="1" fill="black"/>'
+            for x, y in np.asarray(points, dtype=np.float64).tolist()]
+
+
 def dict_period(params, cap):
     """Cycle length reached from the seed by marking first-visit indices in
     a dict until a state repeats; None when more than cap steps are needed."""

@@ -20,6 +20,7 @@ from rngaudit import (
     save_sample,
     load_sample,
 )
+from rngaudit import generators
 from rngaudit.generators import _JUMP, WH_AS183_MODULI, WH_AS183_MULTIPLIERS, _lcg_states
 from rngaudit.stats import STAT_BLOCK
 from oracles import (
@@ -184,12 +185,15 @@ class TestLcgNext:
 FILL_SIZES = sorted({1, 2, 3, 3 * _JUMP + 5} | {2**j + e for j in range(2, 14) for e in (-1, 0, 1)})
 # (m, a, c, seed) from a 10-state toy to moduli far above 2**64
 FILL_PARAMS = [
+    (2, 1, 1, 0),  # the least modulus, masked by 1
     (10, 7, 7, 7),
     (2**18, 4649, 819, 1),
+    (2**20, 4651, 819, 9),
     (2**31 - 1, 16807, 0, 1),
     (2**32, 1664525, 1013904223, 2**32 - 1),
     (2**32 + 1, 3**20, 2**32, 2**32),
     (2**48, 25214903917, 11, 12345),
+    (2**64, 6364136223846793005, 1442695040888963407, 2**64 - 1),  # masked Python ints
     (2**97, 3**40, 7**30, 12345),
 ]
 
@@ -345,6 +349,26 @@ class TestBruteForcePeriod:
         cap = data.draw(st.integers(1, 2 * m + 2))
         assert brute_force_period(params, cap) == dict_period(params, cap)
 
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_moduli_match_dict_walk(self, bits, data):
+        # the walk reduces these states by a mask
+        m = 2**bits
+        params = LcgParams(m, data.draw(st.integers(1, m - 1)),
+                           data.draw(st.integers(0, m - 1)),
+                           data.draw(st.integers(0, m - 1)))
+        cap = data.draw(st.integers(1, 2 * m + 2))
+        assert brute_force_period(params, cap) == dict_period(params, cap)
+
+    @pytest.mark.parametrize("params", [LcgParams(2**20, 4649, 819, 3),
+                                        LcgParams(2**20, 4651, 819, 3),
+                                        LcgParams(2**40, 2**28 + 1, 0, 3),
+                                        LcgParams(2**40, 3 * 2**20, 5, 1)])
+    def test_power_of_two_walks_match_dict_walk(self, params):
+        # across walk blocks: the full period and cycles of 2**19; on Python
+        # integers: a cycle of 2**12, and a tail of 2 into a fixed point
+        assert brute_force_period(params, 2**21) == dict_period(params, 2**21)
+
     @given(st.integers(2, 400), st.data())
     @settings(max_examples=100, deadline=None)
     def test_exact_cap_edges(self, m, data):
@@ -408,6 +432,22 @@ class TestCombined:
         gen = WichmannHill(*seeds)
         got = np.concatenate([gen._block(n) for n in blocks])
         assert _bits(got) == _bits(_wh_sequence(seeds, sum(blocks)))
+
+    def test_fractional_part_of_integer_and_near_three_sums(self, monkeypatch):
+        # component uniforms that no states give: sums that are integers (the
+        # part is +0.0), the sum that rounds to 3 - 2**-51, and random sums
+        below = 1 - 2**-53
+        ends = [(0.0, 0.0, 0.0), (0.5, 0.25, 0.25), (0.5, 0.5, 0.0), (0.75, 0.75, 0.5),
+                (below, below, below), (below, 0.5, 0.5), (0.5, 0.5, below)]
+        rng = np.random.default_rng(28)
+        parts = np.concatenate([np.array(ends), rng.random((1000, 3))]).T
+        monkeypatch.setattr(generators, "_uniforms",
+                            lambda states, m: parts[WH_AS183_MODULI.index(m)])
+        out = np.empty(parts.shape[1])
+        WichmannHill(1, 1, 1)._fill(out)
+        want = [(0.0 + u1 + u2 + u3) % 1.0 for u1, u2, u3 in parts.T.tolist()]
+        assert _bits(out) == _bits(want)
+        assert _bits(out[:5]) == _bits([0.0, 0.0, 0.0, 0.0, 1 - 2**-51])
 
     def test_validation(self):
         # each component seed lies in [1, m - 1] for its own modulus

@@ -5,7 +5,8 @@ reproducible payload of the JSON report (``payload_without_timestamp``),
 everything printed to stdout and the exit code.  Strings, integers and
 verdicts must match exactly.  Floats must match to ``FLOAT_REL``
 relative: numpy's SIMD ``log`` moves battery floats by ulps across
-builds.
+builds.  Every file the cases write must equal, byte for byte, its text
+built one value at a time from the generator's recurrence (``WRITTEN``).
 
 Rebuild the fixtures (only on purpose, and say why in the change log)::
 
@@ -28,6 +29,8 @@ from pathlib import Path
 import pytest
 
 from rngaudit.cli import main, payload_without_timestamp
+
+from oracles import SVG_HEAD, first_line_apart, lcg_sequence, svg_circles
 
 GOLDEN = Path(__file__).parent / "golden" / "reports.json"
 FLOAT_REL = 1e-12
@@ -90,10 +93,51 @@ def assert_matches(got, want, where="$"):
         assert got == want, f"{where}: {got!r} != {want!r}"
 
 
+def _uniforms(m, a, c, seed, n):
+    return [y / m for y in lcg_sequence(m, a, c, seed, n)]
+
+
+def _sample_text(m, a, c, seed, n):
+    head = f"# rngaudit-sample v1 lcg:m={m},a={a},c={c},seed={seed}\n"
+    return head + "".join(f"{u!r}\n" for u in _uniforms(m, a, c, seed, n))
+
+
+def _csv_text(values, d):
+    rows = [",".join(map(repr, values[i:i + d])) for i in range(len(values) - d + 1)]
+    return "\n".join([",".join(f"x{j + 1}" for j in range(d)), *rows]) + "\n"
+
+
+def _svg_text(values, stride=1):
+    pairs = [values[i:i + 2] for i in range(0, len(values) - 1, stride)]
+    return SVG_HEAD + "".join(c + "\n" for c in svg_circles(pairs)) + "</svg>\n"
+
+
+_C = _uniforms(1024, 389, 1, 1, 1024)
+_F2 = _uniforms(40000, 4001, 1, 1, 40000)
+# Every file CASES write, from the recurrence of its generator, one value at
+# a time; the 39999 pairs of f2 are thinned to every second one in the SVG.
+WRITTEN = {
+    "fm.txt": lambda: _sample_text(2147483647, 742938285, 0, 5, 100000),
+    "c-d2.csv": lambda: _csv_text(_C, 2),
+    "c-d2.svg": lambda: _svg_text(_C),
+    "f1/pairs.csv": lambda: _csv_text(_C, 2),
+    "f1/triples.csv": lambda: _csv_text(_C, 3),
+    "f1/pairs.svg": lambda: _svg_text(_C),
+    "f2/pairs.csv": lambda: _csv_text(_F2, 2),
+    "f2/triples.csv": lambda: _csv_text(_F2, 3),
+    "f2/pairs.svg": lambda: _svg_text(_F2, stride=2),
+}
+
+
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def runs(workdir):
     with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(tmp_path_factory.mktemp("golden"))
+        mp.chdir(workdir)
         return run_cases()
 
 
@@ -109,6 +153,16 @@ def test_report_matches_golden(runs, index):
     assert got["exit_code"] == want["exit_code"]
     assert got["stdout"] == want["stdout"]
     assert_matches(got["payload"], want["payload"])
+
+
+def test_cases_write_these_files(runs, workdir):
+    written = {p.relative_to(workdir).as_posix() for p in workdir.rglob("*") if p.is_file()}
+    assert written == set(WRITTEN)
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_file_matches_per_element_text(runs, workdir, name):
+    assert first_line_apart((workdir / name).read_text(), WRITTEN[name]()) is None
 
 
 def test_every_summary_ends_with_its_verdict(runs):

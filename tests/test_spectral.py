@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rngaudit.generators import LcgParams, make_generator
-from rngaudit.io import save_sample
+from rngaudit.io import TEXT_BLOCK, save_sample
 from rngaudit.spectral import (
     SVG_MAX_POINTS,
     _lll_reduce,
@@ -33,7 +33,8 @@ from rngaudit.spectral import (
 )
 from rngaudit.stats import summary_verdict
 
-from oracles import fraction_lll_reduce, lagrange_shortest, lattice_min_norm_sq
+from oracles import (SVG_HEAD, first_line_apart, fraction_lll_reduce, lagrange_shortest,
+                     lattice_min_norm_sq, svg_circles)
 
 REL = 1e-12
 
@@ -47,6 +48,10 @@ AWKWARD = [-0.0, 0.0, math.nan, -math.nan,
            5e-324, 1e-05, 9.999999999999999e-06, 0.0001, 0.1, 1.0, 1e16,
            math.inf, -math.inf]
 CLOUD_VALUES = st.sampled_from(AWKWARD) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _svg_text(points) -> str:
+    return "".join([SVG_HEAD, *(c + "\n" for c in svg_circles(points)), "</svg>\n"])
 
 
 def _det_int(rows):
@@ -453,6 +458,71 @@ class TestExports:
         assert drawn == pairs // 2  # stride ceil(pairs / SVG_MAX_POINTS) = 2
         assert (tmp_path / "s.svg").read_text().count("<circle") == drawn
 
+    @pytest.mark.parametrize("rows", [1, TEXT_BLOCK - 1, TEXT_BLOCK, TEXT_BLOCK + 1,
+                                      2 * TEXT_BLOCK + 1, SVG_MAX_POINTS, SVG_MAX_POINTS + 10])
+    def test_svg_equals_per_element_formatting(self, rows, tmp_path):
+        # block edges, and the thinning of a cloud above SVG_MAX_POINTS to
+        # every second point
+        cloud = point_cloud(make_generator("mt:seed=6").generate(rows + 1), 2)
+        drawn = export_cloud_svg(cloud, tmp_path / "c.svg")
+        shown = cloud[::2] if rows > SVG_MAX_POINTS else cloud
+        assert drawn == len(shown)
+        assert first_line_apart((tmp_path / "c.svg").read_text(), _svg_text(shown)) is None
+
+    def test_svg_cells_of_every_hundredth(self, tmp_path):
+        # every coordinate the digit cells cover, 0.0 to 800.0 in both cx and
+        # cy, written in pieces of at most SVG_MAX_POINTS so none is thinned
+        x = np.arange(100 * 800 + 1) / (100 * 800)
+        cloud = np.stack([x, x], axis=1)
+        hundredths = np.rint(np.round(cloud * [800, -800] + [0, 800], 2) * 100)
+        assert all(set(col) == set(range(100 * 800 + 1)) for col in hundredths.T.tolist())
+        for start in range(0, len(cloud), SVG_MAX_POINTS):
+            part = cloud[start:start + SVG_MAX_POINTS]
+            export_cloud_svg(part, tmp_path / "k.svg")
+            assert first_line_apart((tmp_path / "k.svg").read_text(), _svg_text(part)) is None
+
+    def test_svg_rounds_as_numpy_does(self, tmp_path):
+        # near a half hundredth numpy's rint of c * 100 and Python's correctly
+        # rounded round(c, 2) part: x = 6.25e-06 gives cx 0.0, not 0.01
+        x = (np.arange(100 * 800) + 0.5) / (100 * 800)
+        apart = [v for v, c in zip(x.tolist(), np.round(x * 800, 2).tolist())
+                 if round(v * 800, 2) != c]
+        assert 6.25e-06 in apart and len(apart) > 1000
+        cloud = np.array(apart[:SVG_MAX_POINTS])[:, None].repeat(2, axis=1)
+        export_cloud_svg(cloud, tmp_path / "r.svg")
+        assert first_line_apart((tmp_path / "r.svg").read_text(), _svg_text(cloud)) is None
+        assert '<circle cx="0.0" cy="800.0" ' in (tmp_path / "r.svg").read_text()
+
+    def test_svg_cells_outside_the_digits_keep_their_repr(self, tmp_path):
+        # one block of every pair of these: the ends of [0, 1), both zeros,
+        # NaNs, infinities, negatives and values >= 1 (cx = -0.0, nan, inf,
+        # above 800 or negative, cy the same) beside digit cells
+        edges = [0.0, 1 - 2**-53, -0.0, math.nan, -math.nan, math.inf, -math.inf, -0.5,
+                 -1e-3, 1.0, 1.5, 1e300, 5e-324, 0.3, 0.999]
+        cloud = np.array([(x, y) for x in edges for y in edges])
+        with np.errstate(over="ignore"):
+            export_cloud_svg(cloud, tmp_path / "e.svg")
+            want = _svg_text(cloud)
+        text = (tmp_path / "e.svg").read_text()
+        assert first_line_apart(text, want) is None
+        for cell in ('cx="-0.0"', 'cx="nan"', 'cx="inf"', 'cx="-400.0"', 'cx="800.0"',
+                     'cy="0.0"', 'cy="-inf"', 'cy="1200.0"'):
+            assert cell in text
+
+    @given(pool=st.lists(CLOUD_VALUES | st.floats(0, 1, exclude_max=True), min_size=1,
+                         max_size=12),
+           rows=st.integers(1, TEXT_BLOCK + 2), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_svg_equals_per_element_formatting_on_any_values(self, pool, rows, seed,
+                                                            tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        cloud = np.array(pool)[rng.integers(len(pool), size=(rows, 2))]
+        path = tmp_path_factory.mktemp("svg") / "a.svg"
+        with np.errstate(over="ignore"):
+            export_cloud_svg(cloud, path)
+            want = _svg_text(cloud)
+        assert first_line_apart(path.read_text(), want) is None
+
     def test_bytes_equal_per_element_formatting(self, tmp_path):
         # more rows than one text block, so block edges are covered
         values = make_generator("lcg:m=262144,a=4649,c=819,seed=1").sample(9000)
@@ -465,10 +535,7 @@ class TestExports:
             header = ",".join(f"x{i + 1}" for i in range(cloud.shape[1]))
             rows = [",".join(repr(float(v)) for v in row) for row in cloud]
             assert (tmp_path / name).read_text() == "\n".join([header, *rows]) + "\n"
-        circles = [f'<circle cx="{round(x * 800, 2)}" cy="{round(800 - y * 800, 2)}" '
-                   f'r="1" fill="black"/>' for x, y in pairs]
-        svg = (tmp_path / "p.svg").read_text().splitlines()
-        assert svg[2:-1] == circles
+        assert first_line_apart((tmp_path / "p.svg").read_text(), _svg_text(pairs)) is None
         lines = [f"# rngaudit-sample v1 {values.provenance}",
                  *(repr(float(v)) for v in values.values)]
         assert (tmp_path / "s.txt").read_text() == "\n".join(lines) + "\n"
@@ -510,12 +577,9 @@ class TestExports:
             header = ",".join(f"x{i + 1}" for i in range(cloud.shape[1]))
             want = [header, *(",".join(repr(float(v)) for v in row) for row in cloud),
                     ""]
-            got = path.read_text().split("\n")
             # the first differing line, not a diff of the whole text, which
             # pytest would rebuild for every example hypothesis shrinks
-            assert len(got) == len(want)
-            assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                        None) is None
+            assert first_line_apart(path.read_text(), "\n".join(want)) is None
 
     def test_csv_cells_outside_the_fast_range_keep_their_repr(self, tmp_path):
         # one block holding every kind of value the exact formatter leaves
@@ -559,6 +623,20 @@ class TestExports:
         finally:
             tracemalloc.stop()
         assert rows == 2**19 + 1
+        assert peak < 2 * 2**20
+
+    def test_svg_memory_stays_per_block(self, tmp_path):
+        # the pairs of the figures sample, thinned to 32768 circles: the rows
+        # of all of them at once would take 3 MB
+        values = make_generator("lcg:m=262144,a=4649,c=819,seed=1").sample(2**18)
+        pairs = point_cloud(values, 2)
+        tracemalloc.start()
+        try:
+            drawn = export_cloud_svg(pairs, tmp_path / "p.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drawn == SVG_MAX_POINTS
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("cloud", [np.zeros(4), np.zeros((4, 2), dtype=np.float32),
