@@ -29,6 +29,10 @@ from .stats import (
     levene_test,
     _values,
     poisson_pmf,
+    t_record,
+    variance_record,
+    # the composite builds these two records itself; the public tests stay
+    # importable from here, as before
     t_test_mean,
     variance_test,
 )
@@ -149,18 +153,23 @@ def permutation_test(
             f" < {CHI2_MIN_EXPECTED:g}"
         )
     # Lehmer digits straight from the values; exact ties fall on the
-    # strict-less side, matching the earlier-index-ranks-lower rule.
+    # strict-less side, matching the earlier-index-ranks-lower rule.  The
+    # codes run below k! <= 40320, so they take one byte up to k = 5 and
+    # two up to k = 8, and each column is compared as a contiguous copy.
+    width = np.uint8 if k <= 5 else np.uint16
     counts = np.zeros(kfact, dtype=np.int64)
     ties = 0
     for rows in _row_blocks(tup, kfact):
-        index = np.zeros(rows.shape[0], dtype=np.int64)
+        cols = rows.T.copy()
+        index = np.zeros(rows.shape[0], dtype=width)
         tie_rows = np.zeros(rows.shape[0], dtype=bool)
         for i in range(k - 1):
-            digit = np.zeros(rows.shape[0], dtype=np.int64)
+            digit = np.zeros(rows.shape[0], dtype=width)
             for j in range(i + 1, k):
-                digit += rows[:, j] < rows[:, i]
-                tie_rows |= rows[:, j] == rows[:, i]
-            index += digit * math.factorial(k - 1 - i)
+                digit += cols[j] < cols[i]
+                tie_rows |= cols[j] == cols[i]
+            digit *= math.factorial(k - 1 - i)
+            index += digit
         ties += int(np.count_nonzero(tie_rows))
         counts += np.bincount(index, minlength=kfact)
     result = chi_square_gof(counts, np.full(kfact, expected), alpha, name="permutation")
@@ -327,6 +336,34 @@ def birthday_spacings_test(
 # ---------------------------------------------------------------------------
 # global uniformity composite
 
+def _bin_thresholds(bins: int) -> np.ndarray:
+    """t_k for k = 1 .. bins - 1: the least double with fl(t_k * bins) >= k,
+    so that the value x falls in bin min(floor(fl(x * bins)), bins - 1)
+    exactly when t_k <= x < t_(k+1).  k / bins is within an ulp of t_k."""
+    k = np.arange(1, bins, dtype=np.float64)
+    t = k / bins
+    while np.any(low := t * bins < k):
+        t[low] = np.nextafter(t[low], 1.0)
+    while np.any(high := np.nextafter(t, 0.0) * bins >= k):
+        t[high] = np.nextafter(t[high], 0.0)
+    return t
+
+
+def _sorted_bin_counts(ordered: np.ndarray, bins: int) -> np.ndarray:
+    """The counts of the ascending sample in ``bins`` equal bins of [0, 1),
+    bin min(floor(fl(x * bins)), bins - 1) for each value x, read off the
+    sorted copy at the bin thresholds.
+
+    A value whose int64 cell would be negative (at or below -1 / bins, at
+    or past 2^63 / bins, or not finite) makes ``np.bincount`` refuse the
+    cells; its two extreme values, whose cells bound all the others,
+    meet that check as the whole sample would.
+    """
+    np.bincount(np.minimum((ordered[[0, -1]] * bins).astype(np.int64), bins - 1))
+    edges = np.searchsorted(ordered, _bin_thresholds(bins))
+    return np.diff(edges, prepend=0, append=ordered.size)
+
+
 def global_uniformity(
     sample,
     alpha: float = DEFAULT_ALPHA,
@@ -343,27 +380,28 @@ def global_uniformity(
     n = v.size
     if n < 100:
         raise ValueError("global uniformity needs at least 100 observations")
+    # one mean and one variance for the t and variance records: v.std(ddof=1)
+    # is the square root of v.var(ddof=1), both correctly rounded
+    mean = float(v.mean())
+    var = float(v.var(ddof=1))
     results = [
-        t_test_mean(v, 0.5, alpha),
-        variance_test(v, 1.0 / 12.0, alpha),
+        t_record(n, mean, math.sqrt(var), 0.5, alpha),
+        variance_record(n, var, 1.0 / 12.0, alpha),
         levene_test(v, levene_groups, alpha),
     ]
-    # sorted once for both distance tests, which leave a sorted sample as it
-    # is; only now, so the copy never meets the temporaries of the three above
+    # sorted once for both distance tests and the bins, which leave a sorted
+    # sample as it is; only now, so the copy never meets the temporaries of
+    # the three above
     ordered = np.sort(v)
     results.append(ks_test_uniform(ordered, alpha))
     # chi_square_gof's own check, made before the gof_bins-long arrays exist
     if n < gof_bins:
         raise ValueError("expected counts below 1 break the chi-square approximation")
-    bins = np.zeros(gof_bins, dtype=np.int64)
-    for block in _row_blocks(v, gof_bins):
-        bins += np.bincount(np.minimum((block * gof_bins).astype(np.int64), gof_bins - 1),
-                            minlength=gof_bins)
-    results.append(chi_square_gof(bins, np.full(gof_bins, n / gof_bins), alpha,
-                                  name="chi2-uniform"))
+    results.append(chi_square_gof(_sorted_bin_counts(ordered, gof_bins),
+                                  np.full(gof_bins, n / gof_bins), alpha, name="chi2-uniform"))
     results.append(anderson_darling_uniform(ordered, alpha))
-    results[0].detail["empirical_mean"] = results[0].detail["mean"]
-    results[1].detail["empirical_variance"] = results[1].detail["variance"]
+    results[0].detail["empirical_mean"] = mean
+    results[1].detail["empirical_variance"] = var
     return results
 
 

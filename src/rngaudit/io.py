@@ -82,7 +82,9 @@ def atomic_files(paths):
     the umask.  On a clean exit the handles are closed and each temporary
     file is renamed onto its path, in order.  On any error each temporary
     file not yet renamed is deleted: no target is left holding part of a
-    file, and no temporary file is left behind.
+    file, and no temporary file is left behind.  A temporary file that
+    cannot be created (say, in a directory that does not exist) raises
+    the error under its target's path.
     """
     paths = [os.fspath(p) for p in paths]
     temps, handles, renamed = [], [], 0
@@ -91,7 +93,11 @@ def atomic_files(paths):
             tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                                _TMP_PREFIX + os.urandom(8).hex())
             # "x" creates the file (O_EXCL), so a name that exists is an error
-            handles.append(open(tmp, "x", encoding="utf-8"))
+            try:
+                handles.append(open(tmp, "x", encoding="utf-8"))
+            except OSError as exc:
+                # the user named the target, not the hidden temporary file
+                raise type(exc)(exc.errno, exc.strerror, path) from None
             temps.append(tmp)
         yield handles
         for fh in handles:

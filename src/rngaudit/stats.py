@@ -34,6 +34,10 @@ _FPMIN = 1e-300
 _KS_TERMS = 100
 # anderson_darling_uniform clamps values into [_AD_CLAMP, 1 - _AD_CLAMP]
 _AD_CLAMP = 1e-12
+# numpy's log and log1p of the two clamped values, as its array kernels give
+# them: a contiguous array takes the same SIMD path at any length
+_AD_LOGS = np.log([_AD_CLAMP, 1.0 - _AD_CLAMP])
+_AD_LOG1PS = np.log1p([-_AD_CLAMP, -(1.0 - _AD_CLAMP)])
 # The battery's kernels walk a sample this many values at a time, so that a
 # block and its temporaries (256 KiB each) stay in the L2 cache, and no
 # temporary grows with the sample.
@@ -495,6 +499,14 @@ def _split_sum(x: np.ndarray) -> list[float]:
     return [total, -float(high.sum())]
 
 
+def _clamp_ends(a, first, lo, hi, end, bounds) -> None:
+    """Write bounds[0] over the entries of ``a`` whose sorted positions lie
+    in [0, lo) and bounds[1] over those in [hi, end); ``a`` views the
+    ascending sample from sorted position ``first`` on."""
+    a[:max(lo - first, 0)] = bounds[0]
+    a[max(hi - first, 0):max(end - first, 0)] = bounds[1]
+
+
 def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Anderson-Darling statistic against the uniform law on [0, 1).
 
@@ -515,24 +527,29 @@ def anderson_darling_uniform(sample, alpha: float = DEFAULT_ALPHA) -> TestResult
     n = v.size
     if n < 1:
         raise ValueError("empty sample")
+    # Only the ends of the ascending sample can need the clamp: values below
+    # it in [0, lo), values above 1 - _AD_CLAMP in [hi, end).  NaNs sort
+    # last, from end on, and are neither clamped nor counted.
+    lo, end = (int(i) for i in np.searchsorted(v, [_AD_CLAMP, np.nan]))
+    hi = int(np.searchsorted(v, 1.0 - _AD_CLAMP, side="right"))
     parts = [float(n) * n]
-    clamped = 0
     for start in range(0, n, STAT_BLOCK):
         stop = min(start + STAT_BLOCK, n)
-        block = v[start:stop]
-        clamped += int(np.count_nonzero((block < _AD_CLAMP) | (block > 1.0 - _AD_CLAMP)))
-        body = np.clip(block, _AD_CLAMP, 1.0 - _AD_CLAMP)
-        # v_(n+1-i) for i = start + 1 .. stop
-        upper = np.clip(v[n - stop:n - start][::-1], _AD_CLAMP, 1.0 - _AD_CLAMP)
-        np.negative(upper, out=upper)
-        np.log1p(upper, out=upper)
-        np.log(body, out=body)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            body = np.log(v[start:stop])
+            # log(1 - v_(n+1-i)) for i = start + 1 .. stop, in i order, of
+            # sorted positions n - 1 - start down to n - stop
+            upper = np.negative(v[n - stop:n - start][::-1])
+            np.log1p(upper, out=upper)
+        _clamp_ends(body, start, lo, hi, end, _AD_LOGS)
+        _clamp_ends(upper[::-1], n - stop, lo, hi, end, _AD_LOG1PS)
         body += upper
         body *= np.arange(2.0 * start + 1.0, 2.0 * stop, 2.0)  # 2i - 1
         parts += _split_sum(body)
     a2 = -math.fsum(parts) / n
     p = anderson_darling_sf(a2)
     detail = {"n": int(n)}
+    clamped = lo + end - hi
     if clamped:
         detail["clamped_values"] = clamped
     return TestResult("anderson-darling", a2, p, alpha, detail)
@@ -543,11 +560,14 @@ def t_test_mean(
 ) -> TestResult:
     """Two-sided one-sample t test of the sample mean against mu0."""
     v = _values(sample)
-    n = v.size
-    if n < 2:
+    if v.size < 2:
         raise ValueError("need at least two observations")
-    mean = float(v.mean())
-    s = float(v.std(ddof=1))
+    return t_record(v.size, float(v.mean()), float(v.std(ddof=1)), mu0, alpha)
+
+
+def t_record(n: int, mean: float, s: float, mu0: float, alpha: float) -> TestResult:
+    """The t-mean record of n values of mean ``mean`` and standard
+    deviation ``s`` (ddof 1)."""
     if s == 0.0:
         raise ValueError("sample has zero variance; t statistic undefined")
     t = (mean - mu0) / (s / math.sqrt(n))
@@ -567,12 +587,15 @@ def variance_test(
     p is twice the smaller tail.
     """
     v = _values(sample)
-    n = v.size
-    if n < 2:
+    if v.size < 2:
         raise ValueError("need at least two observations")
     if sigma0_sq <= 0:
         raise ValueError("reference variance must be positive")
-    s2 = float(v.var(ddof=1))
+    return variance_record(v.size, float(v.var(ddof=1)), sigma0_sq, alpha)
+
+
+def variance_record(n: int, s2: float, sigma0_sq: float, alpha: float) -> TestResult:
+    """The variance record of n values of sample variance ``s2`` (ddof 1)."""
     stat = (n - 1) * s2 / sigma0_sq
     upper = chi_square_sf(stat, n - 1)
     p = min(max(2.0 * min(upper, 1.0 - upper), 0.0), 1.0)

@@ -540,6 +540,70 @@ def duplicate_spacings(values, n, k):
 
 
 # ---------------------------------------------------------------------------
+# The battery's earlier block loops, which the package replaced by passes it
+# shares: each walks the sample in blocks as the package once did, in the
+# same floating-point and integer operations.
+
+def blocked_bin_counts(values, bins, block=2**15):
+    """Counts of the values in ``bins`` equal bins of [0, 1), binned
+    max(bins, block) values at a time by the int64 cell of each."""
+    counts = np.zeros(bins, dtype=np.int64)
+    for start in range(0, values.size, max(bins, block)):
+        part = values[start:start + max(bins, block)]
+        counts += np.bincount(np.minimum((part * bins).astype(np.int64), bins - 1),
+                              minlength=bins)
+    return counts
+
+
+def clipped_anderson_darling(values):
+    """(A^2, clamped): the statistic of the clipped block loop, each block
+    of values clipped into [1e-12, 1 - 1e-12] before its logs, and the
+    count of values the clip moved."""
+    from rngaudit.stats import _AD_CLAMP, STAT_BLOCK, _split_sum
+
+    v = values if np.all(values[:-1] <= values[1:]) else np.sort(values)
+    n = v.size
+    parts = [float(n) * n]
+    clamped = 0
+    for start in range(0, n, STAT_BLOCK):
+        stop = min(start + STAT_BLOCK, n)
+        block = v[start:stop]
+        clamped += int(np.count_nonzero((block < _AD_CLAMP) | (block > 1.0 - _AD_CLAMP)))
+        body = np.clip(block, _AD_CLAMP, 1.0 - _AD_CLAMP)
+        upper = np.clip(v[n - stop:n - start][::-1], _AD_CLAMP, 1.0 - _AD_CLAMP)
+        np.negative(upper, out=upper)
+        np.log1p(upper, out=upper)
+        np.log(body, out=body)
+        body += upper
+        body *= np.arange(2.0 * start + 1.0, 2.0 * stop, 2.0)
+        parts += _split_sum(body)
+    return -math.fsum(parts) / n, clamped
+
+
+def int64_lehmer_counts(values, k, block=2**15):
+    """(counts, tied tuples) of the permutation test's int64 block loop:
+    Lehmer codes summed digit by digit over strided columns."""
+    kfact = math.factorial(k)
+    tup = values[: values.size // k * k].reshape(-1, k)
+    counts = np.zeros(kfact, dtype=np.int64)
+    ties = 0
+    step = max(kfact, block // k)
+    for start in range(0, tup.shape[0], step):
+        rows = tup[start:start + step]
+        index = np.zeros(rows.shape[0], dtype=np.int64)
+        tie_rows = np.zeros(rows.shape[0], dtype=bool)
+        for i in range(k - 1):
+            digit = np.zeros(rows.shape[0], dtype=np.int64)
+            for j in range(i + 1, k):
+                digit += rows[:, j] < rows[:, i]
+                tie_rows |= rows[:, j] == rows[:, i]
+            index += digit * math.factorial(k - 1 - i)
+        ties += int(np.count_nonzero(tie_rows))
+        counts += np.bincount(index, minlength=kfact)
+    return counts, ties
+
+
+# ---------------------------------------------------------------------------
 # The textbook continued fractions (Numerical Recipes gcf and betacf), each
 # its own modified Lentz loop with the package's constants.
 

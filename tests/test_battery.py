@@ -42,7 +42,10 @@ from oracles import (
     all_rank_vectors,
     anderson_darling_terms,
     bin_counts,
+    blocked_bin_counts,
+    clipped_anderson_darling,
     duplicate_spacings,
+    int64_lehmer_counts,
     ks_distances,
     levene_statistic,
     perm_rank,
@@ -242,6 +245,22 @@ class TestPermutationTest:
         worst = (100 - expected) ** 2 / expected + 5 * expected
         assert r.statistic == pytest.approx(worst, rel=REL)
 
+    # the codes are one byte up to k = 5 and two bytes up to k = 8; ties
+    # from values on a grid of 1/64, and one tuple all tied
+    @pytest.mark.filterwarnings("ignore:permutation:UserWarning")
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_counts_match_the_oracles_for_every_k(self, k):
+        t = 5 * math.factorial(k) + 3
+        v = np.floor(make_generator(f"mt:seed={k}").generate(t * k + 1) * 64) / 64
+        v[k:2 * k] = v[k]
+        with mock.patch.object(battery, "chi_square_gof", wraps=chi_square_gof) as gof:
+            result = permutation_test(v, k)
+        counts, ties = permutation_counts(v, k)
+        assert gof.call_args.args[0].tolist() == counts.tolist()
+        assert result.detail["tied_tuples"] == ties > 0
+        old_counts, old_ties = int64_lehmer_counts(v, k)
+        assert (old_counts.tolist(), old_ties) == (counts.tolist(), ties)
+
 
 # ---------------------------------------------------------------------------
 # serial test
@@ -357,19 +376,60 @@ class TestBirthdaySpacings:
 # global uniformity composite
 
 
-def assert_same_records(v, alpha=0.01, groups=10, bins=100):
-    """global_uniformity, which sorts v once for ks and anderson-darling,
-    gives each test's own record on the unsorted v, bit for bit."""
-    counts = np.bincount(np.minimum((v * bins).astype(np.int64), bins - 1), minlength=bins)
-    want = [t_test_mean(v, 0.5, alpha), variance_test(v, 1.0 / 12.0, alpha),
-            levene_test(v, groups, alpha), ks_test_uniform(v, alpha),
-            chi_square_gof(counts, np.full(bins, v.size / bins), alpha, name="chi2-uniform"),
-            anderson_darling_uniform(v, alpha)]
+def record_or_error(test, *args):
+    """repr of test(*args).to_dict(), or the text of its ValueError, with
+    warnings silenced; repr tells -0.0 from 0.0 and prints every bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return repr(test(*args).to_dict())
+        except ValueError as exc:
+            return str(exc)
+
+
+def clipped_ad_result(v, alpha=0.01):
+    """The Anderson-Darling record of the oracles' clipped block loop."""
+    a2, clamped = clipped_anderson_darling(v)
+    detail = {"n": v.size, **({"clamped_values": clamped} if clamped else {})}
+    return stats.TestResult("anderson-darling", a2, stats.anderson_darling_sf(a2), alpha,
+                            detail)
+
+
+def separate_records(v, alpha=0.01, groups=10, bins=100):
+    """The composite's records as each test gives them on its own: the public
+    t, variance, Levene and KS tests on the unsorted v, and the blocked
+    bins and the clipped Anderson-Darling loop of the oracles; or the text
+    of the first error, in the composite's order of checks."""
+    try:
+        if v.size < 100:
+            raise ValueError("global uniformity needs at least 100 observations")
+        want = [t_test_mean(v, 0.5, alpha), variance_test(v, 1.0 / 12.0, alpha),
+                levene_test(v, groups, alpha), ks_test_uniform(v, alpha)]
+        if v.size < bins:
+            raise ValueError("expected counts below 1 break the chi-square approximation")
+        want.append(chi_square_gof(blocked_bin_counts(v, bins), np.full(bins, v.size / bins),
+                                   alpha, name="chi2-uniform"))
+        want.append(clipped_ad_result(v, alpha))
+    except ValueError as exc:
+        return str(exc)
     want[0].detail["empirical_mean"] = float(v.mean())
     want[1].detail["empirical_variance"] = float(v.var(ddof=1))
-    got = global_uniformity(v, alpha, groups, bins)
     # repr tells -0.0 from 0.0 and prints every bit of a float
-    assert [repr(r.to_dict()) for r in got] == [repr(r.to_dict()) for r in want]
+    return [repr(r.to_dict()) for r in want]
+
+
+def assert_same_records(v, alpha=0.01, groups=10, bins=100):
+    """global_uniformity, which shares one mean and variance between two
+    records and sorts v once for ks, the bins and anderson-darling, gives
+    each test's own record on the unsorted v bit for bit, or its error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = separate_records(v, alpha, groups, bins)
+        try:
+            got = [repr(r.to_dict()) for r in global_uniformity(v, alpha, groups, bins)]
+        except ValueError as exc:
+            got = str(exc)
+    assert got == want
 
 
 class TestGlobalUniformity:
@@ -430,6 +490,121 @@ class TestGlobalUniformity:
         }]
         # two 5e6-long arrays would take 80 MB
         assert peak < 5 * 2**20
+
+    def test_records_on_the_full_orbit(self):
+        # every k / 2^20 once, 0.0 among them: the clamped Anderson-Darling ends
+        v = make_generator("lcg:m=1048576,a=4649,c=819,seed=1").generate(2**20)
+        assert v.min() == 0.0
+        assert_same_records(v)
+
+    @pytest.mark.parametrize("n", [100, STAT_BLOCK - 1, STAT_BLOCK + 1,
+                                   3 * STAT_BLOCK - 1, 3 * STAT_BLOCK + 1])
+    @pytest.mark.parametrize("ends", [(0.0, 1.0 - 2.0**-53), (1e-13, 1.0 - 1e-13),
+                                      (1.0 - 1e-13, 0.0), (1.0 - 2.0**-53, 1e-13)])
+    def test_records_with_extreme_values_at_both_ends(self, n, ends):
+        v = make_generator(f"mt:seed={n}").generate(n)
+        v[[0, 1]] = ends
+        v[[-2, -1]] = ends[::-1]
+        assert_same_records(v)
+        assert_same_records(v, groups=7, bins=37)
+
+    # bare arrays the package never makes: the records, or the error, of
+    # each test run on its own
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, -1e-3, -0.0, 1.0, 1.5,
+                                     1e17, 1e200])
+    @pytest.mark.parametrize("where", [0, 57, -1])
+    def test_records_or_error_of_values_outside_the_unit_interval(self, bad, where):
+        v = make_generator("mt:seed=4").generate(1000)
+        v[where] = bad
+        assert_same_records(v)
+
+    def test_error_of_a_constant_sample(self):
+        assert_same_records(np.full(1000, 0.25))
+        with pytest.raises(ValueError, match="zero variance"):
+            global_uniformity(np.full(1000, 0.25))
+
+
+# ---------------------------------------------------------------------------
+# the chi-square bins read off the sorted copy
+
+
+@st.composite
+def binned_values(draw, bins=None):
+    """(bins, values): values on, just below and just above the bin
+    edges k / bins, the ends of [0, 1), and uniforms."""
+    if bins is None:
+        bins = draw(st.integers(2, 2**12))
+    edge = st.integers(1, bins - 1).map(lambda k: k / bins)
+    point = st.one_of(
+        edge,
+        edge.map(lambda x: float(np.nextafter(x, 0.0))),
+        edge.map(lambda x: float(np.nextafter(x, 1.0))),
+        st.sampled_from([0.0, 1.0 - 2.0**-53]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    return bins, np.array(draw(st.lists(point, min_size=1, max_size=300)))
+
+
+def assert_bins_from_thresholds(bins, values):
+    t = battery._bin_thresholds(bins)
+    k = np.arange(1, bins)
+    cell = lambda x: np.minimum((x * bins).astype(np.int64), bins - 1)
+    # t_k is in bin k, and the double below it in bin k - 1
+    assert cell(t).tolist() == k.tolist()
+    assert cell(np.nextafter(t, 0.0)).tolist() == (k - 1).tolist()
+    got = battery._sorted_bin_counts(np.sort(values), bins)
+    assert got.tolist() == bin_counts(values, bins).tolist()
+
+
+class TestSortedBins:
+    @settings(deadline=None, max_examples=300)
+    @given(binned_values())
+    def test_thresholds_give_the_cell_counts(self, case):
+        assert_bins_from_thresholds(*case)
+
+    @pytest.mark.parametrize("bins", [3 * 10**5, 2**20])
+    @settings(deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_thresholds_give_the_cell_counts_for_many_bins(self, bins, data):
+        assert_bins_from_thresholds(*data.draw(binned_values(bins)))
+
+    def test_counts_equal_the_blocked_bins(self, boundary_values):
+        for bins in (2, 37, 100, 4099):
+            assert (battery._sorted_bin_counts(np.sort(boundary_values), bins).tolist()
+                    == blocked_bin_counts(boundary_values, bins).tolist())
+
+
+# ---------------------------------------------------------------------------
+# Anderson-Darling logs the ascending sample and writes the bounds' logs at
+# its clamped ends
+
+
+class TestAndersonDarlingEnds:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, -0.0, 0.0, 1e-12, 1e-13,
+                                     1.0 - 1e-12, 1.0 - 1e-13, 1.0, 1.5])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_record_of_each_special_value(self, bad, count):
+        v = make_generator("mt:seed=6").generate(1000)
+        v[10:10 + count] = bad
+        assert (record_or_error(anderson_darling_uniform, v)
+                == record_or_error(clipped_ad_result, v))
+
+    # clamped runs and NaNs longer than a block, so that both ends and the
+    # NaN edge cross block boundaries in the body and in its mirror
+    @pytest.mark.parametrize("nans", [0, 5, STAT_BLOCK + 9])
+    def test_clamped_runs_across_blocks(self, nans):
+        v = make_generator("mt:seed=8").generate(3 * STAT_BLOCK + 7)
+        v[:STAT_BLOCK + 3] = 0.0
+        v[STAT_BLOCK + 3:STAT_BLOCK + 20] = -1.0
+        v[-STAT_BLOCK - 50:] = 1.0 - 1e-14
+        if nans:
+            v[STAT_BLOCK + 30:STAT_BLOCK + 30 + nans] = np.nan
+            # without NaNs, so the statistic is a number
+            finite = v[~np.isnan(v)]
+            assert (repr(anderson_darling_uniform(finite).to_dict())
+                    == repr(clipped_ad_result(finite).to_dict()))
+        assert (record_or_error(anderson_darling_uniform, v)
+                == record_or_error(clipped_ad_result, v))
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,21 @@ class TestWrittenFiles:
         modes = {n: stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in names}
         assert modes == dict.fromkeys(names, 0o666 & ~umask)
 
+    # each command writing into a directory that does not exist: the error
+    # names the file the user asked for, and nothing is created
+    @pytest.mark.parametrize("argv, target", [
+        (["figures", SMALL, "--out-dir", "{d}"], "pairs.csv"),
+        (["generate", TINY, "-n", "4", "-o", "{d}/x.txt"], "x.txt"),
+        (["test", "mt:seed=1", "-n", "1000", "--tests", "serial", "--json", "{d}/r.json"],
+         "r.json"),
+    ], ids=["figures", "generate", "test-json"])
+    def test_missing_directory_names_the_target(self, tmp_path, capsys, argv, target):
+        missing = tmp_path / "absent"
+        assert main([a.format(d=missing) for a in argv] + ["--quiet"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"I/O error: [Errno 2] No such file or directory: '{missing / target}'\n"
+        assert os.listdir(tmp_path) == []
+
     def test_cli_import_leaves_numpy_random_out(self):
         # importing numpy.random raises peak RSS by some 6 MB, more than the
         # 5% a sweep may move it; see the MT19937 docstring
